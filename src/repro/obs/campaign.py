@@ -978,7 +978,7 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
             f"| recomputes coalesced | {host.recomputes_coalesced:.0f} |",
             f"| components skipped | {host.solver_components_skipped:.0f} |",
             f"| vector batches | {host.vector_batches:.0f} |",
-            f"| peak tracemalloc bytes | {host.peak_tracemalloc_bytes} |",
+            f"| peak RSS bytes | {host.peak_rss_bytes} |",
             "",
         ]
         if host.hotspots:
@@ -1030,7 +1030,7 @@ def campaign_report(run: CampaignRun, markdown: bool = True) -> str:
         f"host: {host.wall_seconds:.2f}s wall, "
         f"{host.sim_seconds_per_wall_second:.1f} sim-s/wall-s, "
         f"{host.events_executed:.0f} events, "
-        f"peak {host.peak_tracemalloc_bytes} bytes"
+        f"peak RSS {host.peak_rss_bytes} bytes"
     )
     for spot in host.hotspots:
         lines.append(
@@ -1063,5 +1063,5 @@ def bench_record(run: CampaignRun) -> Dict[str, Any]:
         "recomputes_coalesced": host.recomputes_coalesced,
         "solver_components_skipped": host.solver_components_skipped,
         "vector_batches": host.vector_batches,
-        "peak_tracemalloc_bytes": host.peak_tracemalloc_bytes,
+        "peak_rss_bytes": host.peak_rss_bytes,
     }

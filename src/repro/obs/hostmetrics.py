@@ -3,11 +3,11 @@
 Everything else in :mod:`repro.obs` is clocked on virtual time and is
 byte-identical across reruns; this module is the one sanctioned wall-clock
 reader outside :mod:`repro.runtime` (enforced by simlint rule SIM109).  It
-measures the simulator itself — wall-clock seconds, peak tracemalloc
-bytes, optional cProfile hotspots — and pairs those with the deterministic
-work counters the engine and flow network already track (events executed,
-rate recomputations, solver iterations), yielding one
-:class:`HostMetrics` record per campaign cell.
+measures the simulator itself — wall-clock seconds, peak RSS
+(``ru_maxrss``, process high-water mark), optional cProfile hotspots —
+and pairs those with the deterministic work counters the engine and flow
+network already track (events executed, rate recomputations, solver
+iterations), yielding one :class:`HostMetrics` record per campaign cell.
 
 The record shape is shared between *simulated* cells (discrete-event runs)
 and *emulated* cells (:mod:`repro.runtime.threaded` wall-clock runs), so a
@@ -27,12 +27,14 @@ import cProfile
 import io
 import os
 import pstats
+import resource
+import sys
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.units import KiB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.capture import Observation
@@ -40,6 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Hotspot rows kept per profiled cell.
 PROFILE_TOP_DEFAULT = 10
+
+#: Bytes per ``ru_maxrss`` unit: the kernel reports KiB on Linux and
+#: bytes on macOS.
+MAXRSS_UNIT_BYTES = 1 if sys.platform == "darwin" else KiB
 
 #: Record-shape marker for discrete-event (virtual-time) runs.
 KIND_SIMULATED = "simulated"
@@ -74,10 +80,10 @@ class Hotspot:
 class HostMetrics:
     """Host-side cost of one campaign cell (or one emulated run).
 
-    ``wall_seconds`` and ``peak_tracemalloc_bytes`` come from the host
-    clock and allocator; the event/recompute/solver counters are
-    deterministic simulator totals copied here because they are *cost*
-    signals, not results.  The record deliberately mirrors the same keys
+    ``wall_seconds`` and ``peak_rss_bytes`` come from the host clock and
+    the kernel's resident-set high-water mark; the event/recompute/solver
+    counters are deterministic simulator totals copied here because they
+    are *cost* signals, not results.  The record deliberately mirrors the same keys
     for simulated and emulated runs so both kinds live in one store.
     """
 
@@ -102,7 +108,7 @@ class HostMetrics:
     #: vectorized fixed-point sweeps run by the numpy backend.
     solver_components_skipped: float = 0.0
     vector_batches: float = 0.0
-    peak_tracemalloc_bytes: int = 0
+    peak_rss_bytes: int = 0
     runs: int = 0
     hotspots: List[Hotspot] = field(default_factory=list)
 
@@ -147,7 +153,7 @@ class HostMetrics:
             "recomputes_coalesced": self.recomputes_coalesced,
             "solver_components_skipped": self.solver_components_skipped,
             "vector_batches": self.vector_batches,
-            "peak_tracemalloc_bytes": self.peak_tracemalloc_bytes,
+            "peak_rss_bytes": self.peak_rss_bytes,
             "runs": self.runs,
         }
         if self.hotspots:
@@ -158,25 +164,26 @@ class HostMetrics:
 class HostMeter:
     """Context manager measuring the host cost of a block of work.
 
-    Wraps wall clock + tracemalloc (and optionally cProfile) around
-    whatever runs inside the ``with`` block::
+    Wraps wall clock + peak RSS (and optionally cProfile) around whatever
+    runs inside the ``with`` block::
 
         with HostMeter(profile=True) as meter:
             observations = [observe_workflow(spec, c) for c in configs]
         metrics = simulated_host_metrics(meter, observations)
 
-    tracemalloc is started only if this meter started it (nesting-safe);
-    the reported peak is reset at entry so each cell sees its own
-    high-water mark.
+    Peak memory is the process's resident-set high-water mark read at
+    exit (``getrusage`` ``ru_maxrss``).  It never resets, so it covers the
+    whole process lifetime up to that point, not just this block: two
+    meters in a row report non-decreasing peaks.  Reading it is one
+    syscall, so metering costs nothing the simulation would notice.
     """
 
     def __init__(self, profile: bool = False, profile_top: int = PROFILE_TOP_DEFAULT):
         self.profile = profile
         self.profile_top = profile_top
         self.wall_seconds: float = 0.0
-        self.peak_tracemalloc_bytes: int = 0
+        self.peak_rss_bytes: int = 0
         self._profiler: Optional[cProfile.Profile] = None
-        self._started_tracemalloc = False
         self._t0: float = 0.0
         self._entered = False
 
@@ -185,10 +192,6 @@ class HostMeter:
         if self._entered:
             raise SimulationError("HostMeter is not reentrant")
         self._entered = True
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._started_tracemalloc = True
-        tracemalloc.reset_peak()
         if self.profile:
             self._profiler = cProfile.Profile()
             self._profiler.enable()
@@ -199,9 +202,8 @@ class HostMeter:
         self.wall_seconds = time.perf_counter() - self._t0
         if self._profiler is not None:
             self._profiler.disable()
-        _, self.peak_tracemalloc_bytes = tracemalloc.get_traced_memory()
-        if self._started_tracemalloc:
-            tracemalloc.stop()
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self.peak_rss_bytes = usage.ru_maxrss * MAXRSS_UNIT_BYTES
         self._entered = False
 
     # ------------------------------------------------------------------
@@ -278,7 +280,7 @@ def simulated_host_metrics(
         recomputes_coalesced=coalesced,
         solver_components_skipped=skipped,
         vector_batches=batches,
-        peak_tracemalloc_bytes=meter.peak_tracemalloc_bytes,
+        peak_rss_bytes=meter.peak_rss_bytes,
         runs=len(observations),
         hotspots=meter.hotspots(),
     )
@@ -334,9 +336,7 @@ def aggregate_host_metrics(metrics: Iterable[HostMetrics]) -> HostMetrics:
         total.recomputes_coalesced += item.recomputes_coalesced
         total.solver_components_skipped += item.solver_components_skipped
         total.vector_batches += item.vector_batches
-        total.peak_tracemalloc_bytes = max(
-            total.peak_tracemalloc_bytes, item.peak_tracemalloc_bytes
-        )
+        total.peak_rss_bytes = max(total.peak_rss_bytes, item.peak_rss_bytes)
         total.runs += item.runs
         for spot in item.hotspots:
             seen = merged.get(spot.function)
@@ -375,7 +375,7 @@ def host_metrics_from_record(record: Dict[str, Any]) -> HostMetrics:
         recomputes_coalesced=record.get("recomputes_coalesced", 0.0),
         solver_components_skipped=record.get("solver_components_skipped", 0.0),
         vector_batches=record.get("vector_batches", 0.0),
-        peak_tracemalloc_bytes=record.get("peak_tracemalloc_bytes", 0),
+        peak_rss_bytes=record.get("peak_rss_bytes", 0),
         runs=record.get("runs", 0),
         hotspots=[
             Hotspot(

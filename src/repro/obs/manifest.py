@@ -20,6 +20,7 @@ of the export.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import subprocess
@@ -47,8 +48,14 @@ def calibration_hash(cal: OptaneCalibration) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha(default: str = "unknown") -> str:
-    """Current git commit SHA, or *default* outside a repository."""
+    """Current git commit SHA, or *default* outside a repository.
+
+    Resolved once per process (from the first caller's working directory)
+    and cached: every manifest would otherwise spawn ``git rev-parse``.
+    The SHA is provenance only, never part of a cell id.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

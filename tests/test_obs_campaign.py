@@ -230,7 +230,7 @@ def synthetic_run():
                 events_executed=640,
                 flow_recomputes=640,
                 solver_iterations=2788,
-                peak_tracemalloc_bytes=1000,
+                peak_rss_bytes=1000,
                 runs=2,
             ),
             provenance={},
@@ -266,7 +266,7 @@ GOLDEN_MARKDOWN = """\
 | recomputes coalesced | 0 |
 | components skipped | 0 |
 | vector batches | 0 |
-| peak tracemalloc bytes | 1000 |
+| peak RSS bytes | 1000 |
 """
 
 

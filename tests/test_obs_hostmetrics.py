@@ -1,5 +1,7 @@
 """Host-side self-metrics: the meter, profiling, and record-shape parity."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.configs import S_LOCW
@@ -29,8 +31,20 @@ class TestHostMeter:
         with HostMeter() as meter:
             blob = [bytes(64 * 1024) for _ in range(8)]
         assert meter.wall_seconds > 0
-        assert meter.peak_tracemalloc_bytes > 0
+        assert meter.peak_rss_bytes > 0
         assert blob  # keep the allocation alive through the block
+
+    def test_does_not_trace_allocations(self):
+        with HostMeter():
+            assert not tracemalloc.is_tracing()
+
+    def test_peak_is_process_high_water_mark(self):
+        with HostMeter() as first:
+            pass
+        with HostMeter() as second:
+            pass
+        # ru_maxrss never resets: successive meters see non-decreasing peaks.
+        assert second.peak_rss_bytes >= first.peak_rss_bytes > 0
 
     def test_not_reentrant(self):
         meter = HostMeter()
@@ -118,7 +132,7 @@ class TestAggregate:
             wall_seconds=1.0,
             simulated_seconds=10.0,
             events_executed=100,
-            peak_tracemalloc_bytes=500,
+            peak_rss_bytes=500,
             runs=4,
             hotspots=[Hotspot("f.py:1(f)", 2, 0.1, 0.4)],
         )
@@ -127,7 +141,7 @@ class TestAggregate:
             wall_seconds=3.0,
             simulated_seconds=30.0,
             events_executed=300,
-            peak_tracemalloc_bytes=200,
+            peak_rss_bytes=200,
             runs=4,
             hotspots=[Hotspot("f.py:1(f)", 1, 0.2, 0.3)],
         )
@@ -136,7 +150,7 @@ class TestAggregate:
         assert total.wall_seconds == 4.0
         assert total.simulated_seconds == 40.0
         assert total.events_executed == 400
-        assert total.peak_tracemalloc_bytes == 500  # max, not sum
+        assert total.peak_rss_bytes == 500  # max, not sum
         assert total.runs == 8
         merged = total.hotspots[0]
         assert (merged.calls, merged.tottime, merged.cumtime) == (3, 0.30000000000000004, 0.7)

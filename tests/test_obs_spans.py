@@ -2,10 +2,14 @@
 
 import dataclasses
 
+import pytest
+
+from repro.obs import manifest as manifest_module
 from repro.obs.manifest import (
     SCHEMA_VERSION,
     build_manifest,
     calibration_hash,
+    git_sha,
 )
 from repro.obs.spans import ROOT_SPAN_ID, build_spans, leaf_spans
 from repro.apps.microbench import SMALL_OBJECT_BYTES, micro_workflow
@@ -122,3 +126,27 @@ class TestManifest:
         manifest = build_manifest(self.spec(), S_LOCW, DEFAULT_CALIBRATION)
         again = build_manifest(self.spec(), S_LOCW, DEFAULT_CALIBRATION)
         assert manifest.to_json() == again.to_json()
+
+
+@pytest.fixture
+def fresh_git_sha():
+    git_sha.cache_clear()
+    yield
+    git_sha.cache_clear()
+
+
+class TestGitShaCache:
+    def test_one_subprocess_per_process(self, fresh_git_sha, monkeypatch):
+        calls = []
+        real_run = manifest_module.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest_module.subprocess, "run", counting_run)
+        spec = micro_workflow(SMALL_OBJECT_BYTES, ranks=8, iterations=2)
+        first = build_manifest(spec, S_LOCW, DEFAULT_CALIBRATION)
+        second = build_manifest(spec, S_LOCW, DEFAULT_CALIBRATION)
+        assert len(calls) == 1
+        assert first.git_sha == second.git_sha

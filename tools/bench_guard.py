@@ -1,23 +1,24 @@
 """Simulator-core benchmark baseline: record and guard.
 
-Turns a pytest-benchmark JSON export (from ``benchmarks/bench_simulator.py``
-and ``benchmarks/bench_headline.py``) into the committed
-``BENCH_simcore.json`` baseline, and enforces it in CI:
+Turns a pytest-benchmark JSON export (from the ``benchmarks/`` suites CI
+runs) into a committed baseline such as ``BENCH_simcore.json``, and
+enforces it in CI:
 
 * ``record``  — distill the raw export into the baseline schema (median
   wall seconds, events/s, solver iterations per run, memo hit rate) and
   write it.  An existing baseline's ``pre_pr_baseline`` block is carried
   forward and the speedups against it recomputed, so the headline
   "fast-path vs. original solver" ratio stays visible in the artifact.
-* ``compare`` — check a fresh export against the committed baseline:
-  wall-time medians must stay within ``--tolerance`` (default +/-20 %),
-  events/s must stay above the baseline's absolute ``throughput_floors``
-  (a ratchet recorded once and carried forward, so a slow creep across
-  many PRs still trips it), and the deterministic work counters (solver
-  iterations, events, memo hit rate, makespan) must not drift at all — a
-  wall regression with unchanged counters is host noise or allocator
-  churn, one *with* counter drift is a solver-strategy change and fails
-  loudly either way.  ``--counters-only`` skips the wall and floor
+* ``compare`` — check a fresh export against the committed baseline.
+  Every baselined benchmark must have run, and every benchmark that ran
+  must have a baseline entry, so none goes unguarded.  Wall-time medians
+  must stay within ``--tolerance`` (default +/-20 %), events/s must stay
+  above the baseline's absolute ``throughput_floors`` (a ratchet recorded
+  once and carried forward, so a slow creep across many PRs still trips
+  it), and the deterministic work counters (solver iterations, events,
+  memo hit rate, makespan) must not drift at all — a wall regression with
+  unchanged counters is host noise or allocator churn, one *with* counter
+  drift is a solver-strategy change and fails loudly either way.  ``--counters-only`` skips the wall and floor
   checks for lanes with different host economics (the no-numpy CI lane
   runs the pure-Python fallback, which is legitimately slower but must
   produce byte-identical work counters).
@@ -25,6 +26,8 @@ and ``benchmarks/bench_headline.py``) into the committed
 Usage::
 
     pytest benchmarks/bench_simulator.py benchmarks/bench_headline.py \
+        benchmarks/bench_analysis.py benchmarks/bench_explain.py \
+        benchmarks/bench_optimize.py \
         --benchmark-only --benchmark-json=bench-raw.json
     python tools/bench_guard.py record bench-raw.json --out BENCH_simcore.json
     python tools/bench_guard.py compare bench-raw.json --baseline BENCH_simcore.json
@@ -186,6 +189,11 @@ def compare(args: argparse.Namespace) -> int:
                     "counters are deterministic, so this is a solver "
                     "behaviour change, not noise"
                 )
+    for name in sorted(set(current) - set(baseline)):
+        failures.append(
+            f"{name}: ran but has no baseline entry, so nothing guards it; "
+            "record it into the baseline"
+        )
     if failures:
         print("\nbenchmark guard failures:", file=sys.stderr)
         for failure in failures:
