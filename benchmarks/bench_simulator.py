@@ -39,8 +39,6 @@ def _attach_work_counters(benchmark, spec, config):
             "solver_classes": stats.get("solver_classes", 0),
             "memo_hit_rate": (hits / attempts) if attempts else 0.0,
             "recomputes_coalesced": stats.get("recomputes_coalesced", 0),
-            "solver_components_skipped": stats.get("solver_components_skipped", 0),
-            "vector_batches": stats.get("vector_batches", 0),
         }
     )
 

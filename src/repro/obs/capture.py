@@ -105,8 +105,6 @@ class Observation:
                 "solver_memo_hits": network.memo_hits,
                 "solver_memo_misses": network.memo_misses,
                 "recomputes_coalesced": network.recomputes_coalesced,
-                "solver_components_skipped": network.solver_components_skipped,
-                "vector_batches": network.vector_batches,
             }
         self.result = result
 

@@ -103,11 +103,6 @@ class HostMetrics:
     solver_memo_hits: float = 0.0
     solver_memo_misses: float = 0.0
     recomputes_coalesced: float = 0.0
-    #: Incremental-solve accounting (PR-10): connected components whose
-    #: cached rates were replayed instead of re-solved, and batched
-    #: vectorized fixed-point sweeps run by the numpy backend.
-    solver_components_skipped: float = 0.0
-    vector_batches: float = 0.0
     peak_rss_bytes: int = 0
     runs: int = 0
     hotspots: List[Hotspot] = field(default_factory=list)
@@ -151,8 +146,6 @@ class HostMetrics:
             "solver_memo_misses": self.solver_memo_misses,
             "memo_hit_rate": self.memo_hit_rate,
             "recomputes_coalesced": self.recomputes_coalesced,
-            "solver_components_skipped": self.solver_components_skipped,
-            "vector_batches": self.vector_batches,
             "peak_rss_bytes": self.peak_rss_bytes,
             "runs": self.runs,
         }
@@ -248,7 +241,6 @@ def simulated_host_metrics(
     simulated = 0.0
     events = timers = recomputes = solver = completed = 0.0
     classes = memo_hits = memo_misses = coalesced = 0.0
-    skipped = batches = 0.0
     for observation in observations:
         if observation.result is not None:
             simulated += observation.result.makespan
@@ -263,8 +255,6 @@ def simulated_host_metrics(
         memo_hits += stats.get("solver_memo_hits", 0)
         memo_misses += stats.get("solver_memo_misses", 0)
         coalesced += stats.get("recomputes_coalesced", 0)
-        skipped += stats.get("solver_components_skipped", 0)
-        batches += stats.get("vector_batches", 0)
     return HostMetrics(
         kind=KIND_SIMULATED,
         wall_seconds=meter.wall_seconds,
@@ -278,8 +268,6 @@ def simulated_host_metrics(
         solver_memo_hits=memo_hits,
         solver_memo_misses=memo_misses,
         recomputes_coalesced=coalesced,
-        solver_components_skipped=skipped,
-        vector_batches=batches,
         peak_rss_bytes=meter.peak_rss_bytes,
         runs=len(observations),
         hotspots=meter.hotspots(),
@@ -334,8 +322,6 @@ def aggregate_host_metrics(metrics: Iterable[HostMetrics]) -> HostMetrics:
         total.solver_memo_hits += item.solver_memo_hits
         total.solver_memo_misses += item.solver_memo_misses
         total.recomputes_coalesced += item.recomputes_coalesced
-        total.solver_components_skipped += item.solver_components_skipped
-        total.vector_batches += item.vector_batches
         total.peak_rss_bytes = max(total.peak_rss_bytes, item.peak_rss_bytes)
         total.runs += item.runs
         for spot in item.hotspots:
@@ -359,7 +345,12 @@ def aggregate_host_metrics(metrics: Iterable[HostMetrics]) -> HostMetrics:
 
 
 def host_metrics_from_record(record: Dict[str, Any]) -> HostMetrics:
-    """Rehydrate a stored ``"host"`` record (hotspots included)."""
+    """Rehydrate a stored ``"host"`` record (hotspots included).
+
+    Keys older records carry that this version no longer tracks (for
+    example ``solver_components_skipped`` or ``vector_batches``) are
+    ignored; missing keys read as zero.
+    """
     return HostMetrics(
         kind=record.get("kind", KIND_SIMULATED),
         wall_seconds=record.get("wall_seconds", 0.0),
@@ -373,8 +364,6 @@ def host_metrics_from_record(record: Dict[str, Any]) -> HostMetrics:
         solver_memo_hits=record.get("solver_memo_hits", 0.0),
         solver_memo_misses=record.get("solver_memo_misses", 0.0),
         recomputes_coalesced=record.get("recomputes_coalesced", 0.0),
-        solver_components_skipped=record.get("solver_components_skipped", 0.0),
-        vector_batches=record.get("vector_batches", 0.0),
         peak_rss_bytes=record.get("peak_rss_bytes", 0),
         runs=record.get("runs", 0),
         hotspots=[

@@ -4,74 +4,18 @@
 * :class:`Barrier` — cyclic barrier; MPI applications synchronize every
   iteration through collectives (ghost exchanges, reductions), which is why
   their I/O bursts stay aligned across ranks.
-* :class:`ComponentIndex` — union-find over hashable members; the flow
-  network uses it to split active flows into connected components (flows
-  joined through shared capacity resources) so dirty-component recomputes
-  re-solve only the perturbed component.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Hashable
+from typing import TYPE_CHECKING, Deque
 
 from repro.errors import SimulationError
 from repro.sim.events import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine
-
-
-class ComponentIndex:
-    """Union-find (disjoint sets) over arbitrary hashable members.
-
-    Path-halving finds plus union-by-rank: effectively O(α(n)) per
-    operation.  Members are registered lazily by :meth:`add`/:meth:`union`.
-    The structure is rebuilt per flow-network recompute (active sets are
-    small — a handful of devices and links), which keeps deletions trivial:
-    completed flows simply stop contributing edges.
-    """
-
-    __slots__ = ("_parent", "_rank")
-
-    def __init__(self) -> None:
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._rank: Dict[Hashable, int] = {}
-
-    def add(self, member: Hashable) -> None:
-        """Register *member* as its own singleton set (idempotent)."""
-        if member not in self._parent:
-            self._parent[member] = member
-            self._rank[member] = 0
-
-    def find(self, member: Hashable) -> Hashable:
-        """Canonical representative of *member*'s set (must be added)."""
-        parent = self._parent
-        while parent[member] is not member:
-            parent[member] = parent[parent[member]]
-            member = parent[member]
-        return member
-
-    def union(self, a: Hashable, b: Hashable) -> Hashable:
-        """Merge the sets containing *a* and *b*; returns the new root."""
-        self.add(a)
-        self.add(b)
-        ra, rb = self.find(a), self.find(b)
-        if ra is rb:
-            return ra
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        return ra
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        """Whether *a* and *b* are currently in the same set."""
-        return self.find(a) is self.find(b)
-
-    def __len__(self) -> int:
-        return len(self._parent)
 
 
 class Semaphore:

@@ -19,7 +19,7 @@ is published.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.metrics.results import PhaseBreakdown, RunResult
@@ -110,6 +110,8 @@ class _WorkflowExecution:
         self.reader_socket = reader_socket
         self.compute_jitter = compute_jitter
         self.channel_socket = writer_socket if config.writer_local else reader_socket
+        #: Static :class:`Flow` arguments per ``(kind, cpu_socket)``.
+        self._flow_args: Dict[Tuple[str, int], Dict[str, object]] = {}
         self.writer_stats = _ComponentStats()
         self.reader_stats = _ComponentStats()
         # MPI simulations synchronize every iteration through collectives
@@ -158,6 +160,15 @@ class _WorkflowExecution:
 
     # ------------------------------------------------------------------
     def _make_flow(self, kind: str, cpu_socket: int, label: str) -> Flow:
+        args = self._flow_args.get((kind, cpu_socket))
+        if args is None:
+            args = self._flow_args[(kind, cpu_socket)] = self._flow_arguments(
+                kind, cpu_socket
+            )
+        return Flow(label=label, **args)
+
+    def _flow_arguments(self, kind: str, cpu_socket: int) -> Dict[str, object]:
+        """The run-invariant :class:`Flow` arguments for one kind/socket."""
         snapshot = self.spec.snapshot
         op_bytes = float(snapshot.object_bytes)
         path, remote = self.node.flow_path(cpu_socket, self.channel_socket)
@@ -170,19 +181,17 @@ class _WorkflowExecution:
             if kind == "write"
             else self.cal.single_thread_read()
         )
-        issue_weight = self_cap / (self_cap + single_thread)
-        return Flow(
-            nbytes=snapshot.snapshot_bytes * amplification,
-            kind=kind,
-            remote=remote,
-            resources=path,
-            self_cap=self_cap,
+        return {
+            "nbytes": snapshot.snapshot_bytes * amplification,
+            "kind": kind,
+            "remote": remote,
+            "resources": path,
+            "self_cap": self_cap,
             # The device sees the stack's access granularity (coalesced for
             # log-structured streaming), not the logical object size.
-            op_bytes=self.stack.device_access_bytes(kind, op_bytes),
-            issue_weight=issue_weight,
-            label=label,
-        )
+            "op_bytes": self.stack.device_access_bytes(kind, op_bytes),
+            "issue_weight": self_cap / (self_cap + single_thread),
+        }
 
     # ------------------------------------------------------------------
     def writer_process(self, rank: int) -> Generator:
@@ -257,8 +266,8 @@ class _WorkflowExecution:
                 # Blocked: busy-poll the channel's version metadata in
                 # PMEM, which interferes with concurrent writes (§VI).
                 # Targeted poke: only the device's share-state token moved,
-                # so components not affected by it (e.g. read-only phases)
-                # skip their solve entirely.
+                # so the memo stays warm (read-only phases, whose token
+                # ignores pollers, still hit).
                 device.add_poller(poller_remote)
                 self.network.poke(device)
                 yield version_event

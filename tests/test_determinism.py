@@ -11,6 +11,9 @@ as a byte diff.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +86,43 @@ class TestDeterminism:
         assert serialize_run(
             run_workflow(big, parallel, trace=True)
         ) != serialize_run(run_workflow(big, serial, trace=True))
+
+
+#: Runs two paper cells under every Table I config and prints the
+#: makespans' reprs, one per line.
+_HASH_SEED_PROBE = """
+from repro.apps.suite import build_workflow
+from repro.core.configs import ALL_CONFIGS
+from repro.workflow.runner import run_workflow
+
+for family, ranks in (("micro-64mb", 16), ("gtc+readonly", 24)):
+    spec = build_workflow(family, ranks)
+    for config in ALL_CONFIGS:
+        makespan = run_workflow(spec, config).makespan
+        print(spec.name, config.label, repr(makespan))
+"""
+
+
+class TestCrossProcessDeterminism:
+    def test_makespans_independent_of_hash_seed(self):
+        """Interned signatures, memo keys and dict/set iteration must not
+        let string-hash randomization reach a simulated result."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = {}
+        for seed in ("0", "1", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs[seed] = completed.stdout
+        lines = outputs["0"].splitlines()
+        assert len(lines) == 2 * len(ALL_CONFIGS)
+        assert outputs["1"] == outputs["0"]
+        assert outputs["12345"] == outputs["0"]

@@ -264,8 +264,6 @@ GOLDEN_MARKDOWN = """\
 | solver classes (summed) | 0 |
 | memo hit rate | 0.0% (0/0) |
 | recomputes coalesced | 0 |
-| components skipped | 0 |
-| vector batches | 0 |
 | peak RSS bytes | 1000 |
 """
 
@@ -289,28 +287,26 @@ class TestReport:
             text = campaign_report(run, markdown=markdown)
             assert "solver memo hit rate 75.0% (30/40)" in text
             assert "Warning" not in text and "WARNING" not in text
-        # A GTC-class cell where the solver reuses *nothing* — no memo
-        # hits and no skipped components — gets called out loudly.
+        # A GTC-class cell where the solver reuses *nothing* — misses but
+        # no memo hits — gets called out loudly.
         cell.key = "gtc-8@8"
         cell.host.solver_memo_hits = 0.0
-        cell.host.solver_components_skipped = 0.0
         markdown_text = campaign_report(run, markdown=True)
         assert "> **Warning:** gtc-8@8: solver reused no work" in markdown_text
         terminal_text = campaign_report(run, markdown=False)
         assert "WARNING: gtc-8@8: solver reused no work" in terminal_text
 
     def test_gtc_warning_demoted_by_any_reuse_signal(self):
-        """Memo hits *or* skipped components both count as the fast path
-        working; either one silences the GTC call-out."""
-        for field in ("solver_memo_hits", "solver_components_skipped"):
-            run = synthetic_run()
-            cell = run.cells[0]
-            cell.key = "gtc-8@8"
-            cell.host.solver_memo_misses = 40.0
-            setattr(cell.host, field, 5.0)
-            for markdown in (True, False):
-                text = campaign_report(run, markdown=markdown)
-                assert "Warning" not in text and "WARNING" not in text, field
+        """Any memo hit counts as the fast path working and silences the
+        GTC call-out."""
+        run = synthetic_run()
+        cell = run.cells[0]
+        cell.key = "gtc-8@8"
+        cell.host.solver_memo_misses = 40.0
+        cell.host.solver_memo_hits = 5.0
+        for markdown in (True, False):
+            text = campaign_report(run, markdown=markdown)
+            assert "Warning" not in text and "WARNING" not in text
 
     def test_memo_line_omitted_without_lookups(self):
         # synthetic_run has no memo counters: the header stays clean.

@@ -1,5 +1,6 @@
 """Host-side self-metrics: the meter, profiling, and record-shape parity."""
 
+import os
 import tracemalloc
 
 import pytest
@@ -207,6 +208,32 @@ class TestSolverStrategyCounters:
         assert loaded.solver_memo_hits == 5.0
         assert loaded.solver_memo_misses == 2.0
         assert loaded.recomputes_coalesced == 11.0
+
+    def test_records_with_removed_keys_still_load(self):
+        """Stored records from older versions may carry keys this version
+        no longer tracks; loading ignores them."""
+        record = HostMetrics(
+            kind=KIND_SIMULATED, wall_seconds=1.0, solver_memo_hits=4.0
+        ).as_record()
+        record.update(
+            solver_components_skipped=3.0,
+            vector_batches=9.0,
+            peak_tracemalloc_bytes=123,
+        )
+        loaded = host_metrics_from_record(record)
+        assert loaded.solver_memo_hits == 4.0
+        assert loaded.as_record() == HostMetrics(
+            kind=KIND_SIMULATED, wall_seconds=1.0, solver_memo_hits=4.0
+        ).as_record()
+
+    def test_committed_baseline_campaign_loads(self):
+        from repro.obs.campaign import campaign_from_store
+        from repro.obs.store import CampaignStore
+
+        root = os.path.join(os.path.dirname(__file__), os.pardir, "campaigns")
+        run = campaign_from_store(CampaignStore(root).read("baseline-micro"))
+        assert run.cells
+        assert all(cell.host.solver_iterations > 0 for cell in run.cells)
 
     def test_aggregate_sums_counters(self):
         a = HostMetrics(

@@ -7,14 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.pmem.calibration import DEFAULT_CALIBRATION
+from repro.pmem.device import OptaneDeviceResource
 from repro.sim.engine import Engine
 from repro.sim.flow import (
     CapacityResource,
     Flow,
     FlowNetwork,
+    SolverMemo,
+    solve_flow_set,
     solve_rates,
     solve_rates_counted,
 )
+from repro.units import KiB
 
 
 def fixed_resource(capacity, name="r"):
@@ -263,3 +268,207 @@ class TestFlowNetwork:
         engine.run()
         # Final observation shows the resource idle.
         assert observed[-1][1] == 0
+
+
+class TestDisjointResources:
+    """Flows on unrelated resources share one solve and stay independent."""
+
+    def test_completion_on_one_resource_keeps_other_rates(self):
+        engine = Engine()
+        net = FlowNetwork(engine)
+        ra = CapacityResource("a", lambda load: 10.0)
+        rb = CapacityResource("b", lambda load: 10.0)
+        done = {}
+
+        def body(name, resource, nbytes):
+            yield net.transfer(
+                make_flow(nbytes=nbytes, resources=[resource], label=name)
+            )
+            done[name] = engine.now
+
+        engine.spawn(body("a", ra, 50.0), name="a")
+        engine.spawn(body("b1", rb, 30.0), name="b1")
+        engine.spawn(body("b2", rb, 80.0), name="b2")
+        engine.run()
+        assert done["a"] == pytest.approx(5.0)
+        assert done["b1"] == pytest.approx(6.0)  # 30 B at 5 B/s
+        assert done["b2"] == pytest.approx(11.0)  # 30 B at 5 + 50 B at 10
+
+    def test_targeted_poke_applies_new_capacity(self):
+        """poke(resource) on a token-less resource re-solves with its new
+        capacity and leaves flows elsewhere at their rates."""
+        engine = Engine()
+        net = FlowNetwork(engine)
+        state = {"capacity": 10.0}
+        ra = CapacityResource("steady", lambda load: 10.0)
+        rb = CapacityResource("mutable", lambda load: state["capacity"])
+        done = {}
+
+        def body(name, resource, nbytes):
+            yield net.transfer(
+                make_flow(nbytes=nbytes, resources=[resource], label=name)
+            )
+            done[name] = engine.now
+
+        def throttle():
+            state["capacity"] = 5.0
+            net.poke(rb)
+
+        engine.spawn(body("steady", ra, 100.0), name="steady")
+        engine.spawn(body("victim", rb, 100.0), name="victim")
+        engine.schedule(2.0, throttle)
+        engine.run()
+        assert done["steady"] == pytest.approx(10.0)
+        assert done["victim"] == pytest.approx(18.0)  # 20 B at 10 + 80 at 5
+
+
+class TestPokeDeferral:
+    def test_poke_defers_solve_to_flush(self):
+        """Same-instant poke bursts cost one solve, not one per poke."""
+        engine = Engine()
+        net = FlowNetwork(engine)
+        state = {"capacity": 10.0}
+        r = CapacityResource("mutable", lambda load: state["capacity"])
+
+        def body():
+            yield net.transfer(make_flow(nbytes=100.0, resources=[r]))
+
+        recorded = {}
+
+        def burst():
+            state["capacity"] = 5.0
+            before = net.recompute_count
+            coalesced = net.recomputes_coalesced
+            for _ in range(3):
+                net.poke()
+            recorded["solved_inline"] = net.recompute_count - before
+            recorded["absorbed"] = net.recomputes_coalesced - coalesced
+
+        engine.spawn(body(), name="p")
+        engine.schedule(2.0, burst)
+        engine.run()
+        assert recorded["solved_inline"] == 0  # deferred to the flush
+        assert recorded["absorbed"] == 2  # pokes 2 and 3 fold into 1
+        assert engine.now == pytest.approx(18.0)
+
+    def test_uncoalesced_poke_solves_inline(self):
+        """With coalescing off, poke() keeps the synchronous semantics."""
+        engine = Engine()
+        net = FlowNetwork(engine, coalesce=False)
+        state = {"capacity": 10.0}
+        r = CapacityResource("mutable", lambda load: state["capacity"])
+
+        def body():
+            yield net.transfer(make_flow(nbytes=100.0, resources=[r]))
+
+        recorded = {}
+
+        def throttle():
+            state["capacity"] = 5.0
+            before = net.recompute_count
+            net.poke()
+            recorded["solved_inline"] = net.recompute_count - before
+
+        engine.spawn(body(), name="p")
+        engine.schedule(2.0, throttle)
+        engine.run()
+        assert recorded["solved_inline"] == 1
+        assert engine.now == pytest.approx(18.0)
+
+
+class TestGtcReuse:
+    def test_gtc_workflow_reuses_solver_work(self):
+        """The historical GTC pathology — memo hit rate pinned at 0.0 —
+        stays fixed: read-only phases memo-hit across the congestion EWMA's
+        drift under the default solver."""
+        from repro.apps.gtc import gtc_workflow
+        from repro.core.configs import P_LOCR
+        from repro.obs.capture import observe_workflow
+
+        observation = observe_workflow(
+            gtc_workflow(ranks=4, iterations=2), P_LOCR
+        )
+        stats = observation.solver_stats
+        hits = stats.get("solver_memo_hits", 0)
+        attempts = hits + stats.get("solver_memo_misses", 0)
+        assert attempts > 0 and hits / attempts > 0
+
+
+def _memo_flow_set():
+    """Interacting classes over the device model and a shared link, with
+    some flows resuming mid-transfer at their own duties."""
+    device = OptaneDeviceResource("pmem[0]", DEFAULT_CALIBRATION)
+    link = CapacityResource("link", lambda load: 8e9 / (1.0 + 0.1 * load.n_total))
+    flows = [
+        make_flow(
+            kind="write",
+            remote=True,
+            resources=[device, link],
+            self_cap=2e9,
+            op_bytes=256 * KiB,
+            issue_weight=0.5,
+        )
+        for _ in range(6)
+    ] + [
+        make_flow(kind="read", resources=[device], self_cap=4e9, op_bytes=64 * KiB)
+        for _ in range(4)
+    ]
+    flows[2].duty = 0.4
+    flows[7].duty = 0.7
+    return flows
+
+
+def _twin(flow):
+    twin = make_flow(
+        nbytes=flow.nbytes,
+        kind=flow.kind,
+        remote=flow.remote,
+        resources=flow.resources,
+        self_cap=flow.self_cap,
+        op_bytes=flow.op_bytes,
+        issue_weight=flow.issue_weight,
+    )
+    twin.duty = flow.duty
+    return twin
+
+
+class TestMemoKey:
+    def test_replayed_solve_matches_cold_solve_bit_for_bit(self):
+        template = _memo_flow_set()
+        memo = SolverMemo()
+        first = solve_flow_set([_twin(f) for f in template], memo=memo)
+        replayed_flows = [_twin(f) for f in template]
+        replayed = solve_flow_set(replayed_flows, memo=memo)
+        cold_flows = [_twin(f) for f in template]
+        cold = solve_flow_set(cold_flows)
+        assert not first.memo_hit and replayed.memo_hit
+        assert replayed.iterations == cold.iterations > 0
+        assert replayed.classes == cold.classes > 1
+        for rf, cf in zip(replayed_flows, cold_flows):
+            assert replayed.rates[rf] == cold.rates[cf]  # exact
+            assert rf.duty == cf.duty
+
+    def test_one_ulp_duty_difference_misses(self):
+        template = _memo_flow_set()
+        memo = SolverMemo()
+        solve_flow_set([_twin(f) for f in template], memo=memo)
+        nudged = [_twin(f) for f in template]
+        nudged[7].duty = math.nextafter(nudged[7].duty, 0.0)
+        again = solve_flow_set(nudged, memo=memo)
+        assert again.memo_attempted and not again.memo_hit
+        assert len(memo) == 2
+
+    def test_equal_signatures_share_one_interned_id(self):
+        memo = SolverMemo()
+        a, b, c = _memo_flow_set()[4:7]
+        assert memo.intern(a) == memo.intern(b) != memo.intern(c)
+
+    def test_equal_field_flows_are_distinct_keys(self):
+        r = fixed_resource(10.0)
+        a = make_flow(resources=[r], label="same")
+        b = make_flow(resources=[r], label="same")
+        assert a != b and a == a
+        assert len({a: 1, b: 2}) == 2
+        rates = solve_rates([a, b])
+        assert len(rates) == 2
+        assert rates[a] == rates[b] == pytest.approx(5.0)

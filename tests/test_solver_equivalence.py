@@ -10,6 +10,8 @@ different simulator".
 """
 
 import json
+import math
+import random
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.sim.flow import (
     CapacityResource,
     Flow,
     FlowNetwork,
+    SolverMemo,
     solve_flow_set,
 )
 from repro.storage.objects import SnapshotSpec
@@ -194,6 +197,59 @@ class TestByteIdentity:
             solve_flow_set([make_flow(resources=[fixed_resource(1.0)])], solver="turbo")
 
 
+class _OpaqueStateful(CapacityResource):
+    """Overrides ``observe`` without a token protocol: memo must bypass."""
+
+    def observe(self, now, load):
+        pass
+
+
+def random_flow_set(seed):
+    """A seeded mixed workload over shared, device and opaque resources."""
+    rng = random.Random(seed)
+    shared = CapacityResource(
+        "shared", lambda load: 120.0 / (1.0 + 0.3 * load.n_total)
+    )
+    side = CapacityResource(
+        "side", lambda load: 50.0 / (1.0 + 0.5 * load.n_reads)
+    )
+    device = OptaneDeviceResource("pmem[0]", DEFAULT_CALIBRATION)
+    opaque = _OpaqueStateful(
+        "opaque", lambda load: 80.0 / (1.0 + 0.1 * load.n_writes)
+    )
+    pools = [
+        (shared,),
+        (side,),
+        (shared, side),
+        (device,),
+        (shared, opaque),
+    ]
+    flows = []
+    for i in range(rng.randrange(8, 28)):
+        flow = make_flow(
+            nbytes=rng.uniform(1.0, 1e6),
+            kind=rng.choice(("read", "write")),
+            remote=rng.random() < 0.4,
+            resources=rng.choice(pools),
+            self_cap=rng.choice((math.inf, 2e9, 4e9, 40.0)),
+            op_bytes=rng.choice((256.0, 4 * KiB, 64 * KiB, 256 * KiB)),
+            issue_weight=rng.choice((1.0, 1.0, 0.6)),
+            label=f"f{i}",
+        )
+        if rng.random() < 0.3:  # some flows resume mid-transfer
+            flow.duty = rng.uniform(0.05, 1.0)
+        flows.append(flow)
+    return flows
+
+
+class TestRandomizedByteIdentity:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fast_reference_bit_identical(self, seed):
+        """Mixed kinds, localities, shared paths, the real device model and
+        opaque stateful resources: fast and reference agree bit for bit."""
+        assert_results_identical(*solve_both(random_flow_set(seed)))
+
+
 class TestEquivalenceClasses:
     def test_identical_flows_form_one_class(self):
         r = fixed_resource(10.0)
@@ -238,14 +294,12 @@ class TestConvergedStateMemo:
         return first, second
 
     def test_repeat_solve_hits_and_replays(self):
-        from collections import OrderedDict
-
         r = fixed_resource(10.0)
 
         def flows():
             return [make_flow(resources=[r], self_cap=20.0) for _ in range(4)]
 
-        memo = OrderedDict()
+        memo = SolverMemo()
         first, second = self.run_twice(flows, memo)
         assert first.memo_attempted and not first.memo_hit
         assert second.memo_attempted and second.memo_hit
@@ -255,8 +309,6 @@ class TestConvergedStateMemo:
         assert [r.name for r in second.loads] == [r.name for r in first.loads]
 
     def test_stateless_resource_state_change_invisible_but_token_seen(self):
-        from collections import OrderedDict
-
         class Tokened(CapacityResource):
             def __init__(self):
                 super().__init__("tok", lambda load: self.cap)
@@ -270,7 +322,7 @@ class TestConvergedStateMemo:
         def flows():
             return [make_flow(resources=[resource], self_cap=20.0)]
 
-        memo = OrderedDict()
+        memo = SolverMemo()
         first, second = self.run_twice(flows, memo)
         assert second.memo_hit
         resource.cap = 5.0  # token changes -> memo key changes -> miss
@@ -279,14 +331,12 @@ class TestConvergedStateMemo:
         assert list(third.rates.values())[0] != list(first.rates.values())[0]
 
     def test_opaque_stateful_resource_bypasses_memo(self):
-        from collections import OrderedDict
-
         class Watching(CapacityResource):
             def observe(self, now, load):  # stateful, but no token
                 pass
 
         resource = Watching("opaque", lambda load: 10.0)
-        memo = OrderedDict()
+        memo = SolverMemo()
         first, second = self.run_twice(
             lambda: [make_flow(resources=[resource])], memo
         )
@@ -299,12 +349,10 @@ class TestConvergedStateMemo:
         assert not result.memo_attempted
 
     def test_memo_capacity_bounded(self):
-        from collections import OrderedDict
-
         from repro.sim.flow import MEMO_CAPACITY
 
         r = fixed_resource(1000.0)
-        memo = OrderedDict()
+        memo = SolverMemo()
         for i in range(MEMO_CAPACITY + 20):
             solve_flow_set(
                 [make_flow(resources=[r], self_cap=float(i + 1))],

@@ -18,10 +18,10 @@ enforces it in CI:
   it), and the deterministic work counters (solver iterations, events,
   memo hit rate, makespan) must not drift at all — a wall regression with
   unchanged counters is host noise or allocator churn, one *with* counter
-  drift is a solver-strategy change and fails loudly either way.  ``--counters-only`` skips the wall and floor
-  checks for lanes with different host economics (the no-numpy CI lane
-  runs the pure-Python fallback, which is legitimately slower but must
-  produce byte-identical work counters).
+  drift is a solver-strategy change and fails loudly either way.
+  ``--counters-only`` skips the wall and floor checks, for runs on a host
+  whose speed differs from the baseline's but whose work counters must
+  still be identical.
 
 Usage::
 
@@ -225,8 +225,8 @@ def main(argv=None) -> int:
         "--counters-only",
         action="store_true",
         help="check only the deterministic work counters (skip wall-time "
-        "and throughput-floor guards); for lanes whose host economics "
-        "differ, e.g. the pure-Python no-numpy fallback",
+        "and throughput-floor guards); for runs on a host whose speed "
+        "differs from the baseline's",
     )
     cmp_.set_defaults(func=compare)
 
