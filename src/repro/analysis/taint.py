@@ -32,7 +32,8 @@ Sinks (the byte-identity surfaces of PRs 2–4):
 
 * ``StoredCell(...)`` — the ``cell_id`` / ``key`` / ``deterministic``
   fields (``host=`` and ``provenance=`` are segregated by design);
-* ``CampaignStore.append_cell(...)`` — the appended cell;
+* ``CampaignStore.append_cell(...)`` / ``append_cells(...)`` — the
+  appended cell(s);
 * ``cell_id_from_manifests(...)`` / ``cell_id_for_spec(...)`` — anything
   hashed into a cell id;
 * ``Tracer.record(...)`` — simulated trace events;
@@ -212,11 +213,11 @@ class DeterminismTaintPolicy(TaintPolicy):
             for kw in call.keywords:
                 if kw.arg in deterministic_kwargs:
                     out.append((kw.value, "store cell record", trigger))
-        elif terminal == "append_cell":
+        elif terminal in ("append_cell", "append_cells"):
             for arg in call.args[1:] if len(call.args) > 1 else call.args:
                 out.append((arg, "campaign store append", trigger))
             for kw in call.keywords:
-                if kw.arg == "cell":
+                if kw.arg in ("cell", "cells"):
                     out.append((kw.value, "campaign store append", trigger))
         elif terminal in ("cell_id_from_manifests", "cell_id_for_spec"):
             for arg in list(call.args) + [kw.value for kw in call.keywords]:

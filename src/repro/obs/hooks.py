@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.obs.probes import Counter, Gauge, ProbeRegistry
+from repro.sim.flow import share_projector
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.flow import CapacityResource, Flow, ResourceLoad
@@ -101,10 +102,18 @@ class NetworkHooks:
         for resource, load in sorted(loads.items(), key=lambda kv: kv[0].name):
             achieved = 0.0
             model = 0.0
+            # One share() per projection: equal projections get identical
+            # shares, and the sum still runs in flow order (bit-exact).
+            project = share_projector(resource)
+            shares: Dict[object, float] = {}
             for flow in flows:
                 if resource in flow.resources:
                     achieved += flow.rate
-                    model += resource.share(load, flow)
+                    proj = project(flow)
+                    share = shares.get(proj)
+                    if share is None:
+                        share = shares[proj] = resource.share(load, flow)
+                    model += share
             self._resource_gauge(
                 self._occupancy, "resource.occupancy", resource.name
             ).set(now, load.n_total)

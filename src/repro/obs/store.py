@@ -37,7 +37,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 
@@ -281,19 +281,34 @@ class CampaignStore:
 
     def append_cell(self, name: str, cell: StoredCell) -> None:
         """Append one cell record; duplicate cell ids are rejected."""
+        self.append_cells(name, [cell])
+
+    def append_cells(self, name: str, cells: Sequence[StoredCell]) -> None:
+        """Append cell records in order with one read and one write.
+
+        Duplicate cell ids — against the campaign or within *cells* — are
+        rejected before anything is written.  The bytes are those of one
+        :meth:`append_cell` per cell.
+        """
         path = self.path(name)
         if not os.path.exists(path):
             raise StorageError(
                 f"campaign {name!r} does not exist; create() it first"
             )
-        existing = self.read(name)
-        if any(c.cell_id == cell.cell_id for c in existing.cells):
-            raise StorageError(
-                f"cell {cell.cell_id} already recorded in campaign {name!r} "
-                "(store is append-only; start a new campaign to re-run)"
-            )
+        seen = {c.cell_id for c in self.read(name).cells}
+        for cell in cells:
+            if cell.cell_id in seen:
+                raise StorageError(
+                    f"cell {cell.cell_id} already recorded in campaign "
+                    f"{name!r} (store is append-only; start a new campaign "
+                    "to re-run)"
+                )
+            seen.add(cell.cell_id)
+        lines = "".join(
+            canonical_json(cell.as_record(name)) + "\n" for cell in cells
+        )
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write(canonical_json(cell.as_record(name)) + "\n")
+            handle.write(lines)
 
     # -- reading --------------------------------------------------------
     def read(self, name: str) -> StoredCampaign:

@@ -126,7 +126,9 @@ class WorkerPool:
 
         ``should_stop`` is the drain hook: polled before each dispatch (and
         each inline task); once true, nothing new starts.  ``on_outcome``
-        fires as each task settles, in completion order.
+        fires as each task settles, in completion order; the pooled path
+        refills the freed worker slots before calling it, so the caller's
+        per-outcome work overlaps the simulations still running.
         """
         if self.jobs == 1:
             return self._run_inline(tasks, should_stop, on_outcome)
@@ -196,65 +198,61 @@ class WorkerPool:
             executor = ProcessPoolExecutor(max_workers=self.jobs)
             self._observe_rebuilt(reason)
 
+        def fill() -> None:
+            """Skip everything once draining, else top up the free slots."""
+            nonlocal pending, stopping
+            if not stopping and should_stop is not None and should_stop():
+                stopping = True
+            if stopping:
+                for spec in pending:
+                    settle(TaskOutcome(spec.task_id, STATUS_SKIPPED))
+                pending = []
+            while pending and len(in_flight) < self.jobs:
+                spec = pending.pop(0)
+                self._observe_started(spec.task_id)
+                future = executor.submit(self.task_fn, spec.payload)
+                in_flight[future] = (spec, time.perf_counter())
+
         try:
-            while pending or in_flight:
-                if not stopping and should_stop is not None and should_stop():
-                    stopping = True
-                if stopping and pending:
-                    for spec in pending:
-                        settle(TaskOutcome(spec.task_id, STATUS_SKIPPED))
-                    pending = []
-                while pending and not stopping and len(in_flight) < self.jobs:
-                    spec = pending.pop(0)
-                    self._observe_started(spec.task_id)
-                    future = executor.submit(self.task_fn, spec.payload)
-                    in_flight[future] = (spec, time.perf_counter())
-                if not in_flight:
-                    continue
+            fill()
+            while in_flight:
                 done, _ = wait(
                     in_flight, timeout=POLL_SECONDS, return_when=FIRST_COMPLETED
                 )
+                finished: List[TaskOutcome] = []
                 broken = False
                 for future in done:
                     spec, started = in_flight.pop(future)
                     elapsed = time.perf_counter() - started
                     try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        settle(
-                            TaskOutcome(
-                                spec.task_id,
-                                STATUS_CRASH,
-                                error="worker process died",
-                                wall_seconds=elapsed,
-                            )
-                        )
-                        continue
-                    except Exception:
-                        settle(
-                            TaskOutcome(
-                                spec.task_id,
-                                STATUS_ERROR,
-                                error=traceback.format_exc(limit=8),
-                                wall_seconds=elapsed,
-                            )
-                        )
-                        continue
-                    settle(
-                        TaskOutcome(
+                        outcome = TaskOutcome(
                             spec.task_id,
                             STATUS_DONE,
-                            result=result,
+                            result=future.result(),
                             wall_seconds=elapsed,
                         )
-                    )
+                    except BrokenProcessPool:
+                        broken = True
+                        outcome = TaskOutcome(
+                            spec.task_id,
+                            STATUS_CRASH,
+                            error="worker process died",
+                            wall_seconds=elapsed,
+                        )
+                    except Exception:
+                        outcome = TaskOutcome(
+                            spec.task_id,
+                            STATUS_ERROR,
+                            error=traceback.format_exc(limit=8),
+                            wall_seconds=elapsed,
+                        )
+                    finished.append(outcome)
                 if broken:
                     # A dead worker breaks every future; in-flight tasks
                     # cannot be told apart from the culprit, so all are
                     # crashes (the queue's retry budget sorts them out).
-                    for future, (spec, started) in list(in_flight.items()):
-                        settle(
+                    for spec, started in in_flight.values():
+                        finished.append(
                             TaskOutcome(
                                 spec.task_id,
                                 STATUS_CRASH,
@@ -264,7 +262,6 @@ class WorkerPool:
                         )
                     in_flight = {}
                     rebuild("crash")
-                    continue
                 # Timeout sweep: report overdue tasks, rebuild the executor
                 # (one task cannot be killed), and resubmit the innocent.
                 now = time.perf_counter()
@@ -277,7 +274,7 @@ class WorkerPool:
                 if overdue:
                     for future, spec, started in overdue:
                         del in_flight[future]
-                        settle(
+                        finished.append(
                             TaskOutcome(
                                 spec.task_id,
                                 STATUS_TIMEOUT,
@@ -292,6 +289,12 @@ class WorkerPool:
                     in_flight = {}
                     rebuild("timeout")
                     pending = innocents + pending
+                # Refill the freed slots first: the caller's per-outcome
+                # work (persistence) then overlaps the next simulations
+                # instead of idling a worker.
+                fill()
+                for outcome in finished:
+                    settle(outcome)
         finally:
             executor.shutdown(wait=False, cancel_futures=True)
         return [settled[task_id] for task_id in order]

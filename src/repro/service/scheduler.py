@@ -13,13 +13,17 @@ One :meth:`ServiceScheduler.run` pass is the Balsam "service cycle":
    :meth:`repro.core.recommend.RecommendationEngine.estimate_makespan`
    (the §VIII placement prices double as makespan predictions);
 4. **execute** — the :class:`~repro.service.pool.WorkerPool` runs the
-   misses with per-job timeouts; failed attempts are retried through the
-   queue with exponential backoff until each job's budget runs out;
-5. **record** — fresh results go into the cache, and every completed cell
-   (hit or fresh) is appended — sorted by cell id, so the file is
-   byte-independent of completion order — to the ``results`` campaign
-   under ``service/campaigns/``.  Each cell's transition detail records
-   the recommendation's regret vs the measured winner.
+   misses with per-job timeouts.  Each job is settled the moment its
+   worker returns, while the other workers keep simulating: a fresh
+   result goes into the cache, *then* the job is marked ``done`` (its
+   transition detail records the recommendation's regret vs the measured
+   winner).  Failed attempts are retried through the queue with
+   exponential backoff until each job's budget runs out;
+5. **record** — every ``done`` cell the ``results`` campaign (under
+   ``service/campaigns/``) lacks is appended, sorted by cell id so the
+   file is byte-independent of completion order.  That is this pass's
+   cells plus any a killed pass settled but never recorded, which come
+   back from the cache.
 
 Experiment jobs (``repro-experiments --service``) ride steps 1/4 only:
 their outputs are reports, not content-addressed cells.
@@ -37,11 +41,12 @@ from repro.obs.explain import cell_bottleneck
 from repro.obs.store import CampaignStore, StoredCell
 from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
 from repro.service.cache import ResultCache, cell_id_for_spec
-from repro.service.pool import STATUS_SKIPPED, TaskSpec, WorkerPool
+from repro.service.pool import STATUS_SKIPPED, TaskOutcome, TaskSpec, WorkerPool
 from repro.service.queue import (
     DEFAULT_SERVICE_DIR,
     KIND_CELL,
     KIND_EXPERIMENT,
+    STATE_DONE,
     STATE_QUEUED,
     Job,
     JobQueue,
@@ -370,27 +375,79 @@ class ServiceScheduler:
         return entry
 
     def _persist_cells(self, cells: List[StoredCell]) -> int:
-        """Append new cells — sorted by cell id — to the results campaign.
+        """Append every done cell the results campaign lacks, sorted by id.
 
-        The campaign store rejects duplicate cell ids, which is exactly the
-        "zero new deterministic records on a fully-cached rerun" guarantee;
-        already-recorded cells are skipped here rather than errored.
+        *cells* are this pass's completed cells (fresh or cache hits).  A
+        ``done`` cell job whose cell is in neither *cells* nor the campaign
+        was settled by a pass that died before reaching this step; its
+        cell comes back from the cache, which settling always writes
+        before ``mark_done``.  Already-recorded cells are skipped, which
+        is the "zero new deterministic records on a fully-cached rerun"
+        guarantee.
         """
-        if not cells:
+        recorded = (
+            {cell.cell_id for cell in self.store.read(RESULTS_CAMPAIGN).cells}
+            if self.store.exists(RESULTS_CAMPAIGN)
+            else set()
+        )
+        new: Dict[str, StoredCell] = {}
+        for cell in cells:
+            if cell.cell_id not in recorded:
+                new.setdefault(cell.cell_id, cell)
+        for job in self.queue.load():
+            detail = job.detail if isinstance(job.detail, dict) else {}
+            cell_id = detail.get("cell_id")
+            if (
+                job.kind != KIND_CELL
+                or job.state != STATE_DONE
+                or not cell_id
+                or cell_id in recorded
+                or cell_id in new
+            ):
+                continue
+            lookup_t0 = time.perf_counter()
+            cached = self.cache.get(cell_id)
+            if cached is not None:
+                new[cell_id] = _served_from_cache(cached, cached.key, lookup_t0)
+        if not new:
             return 0
         if not self.store.exists(RESULTS_CAMPAIGN):
             self.store.create(RESULTS_CAMPAIGN, {"suite": "service"})
-        existing = {
-            cell.cell_id for cell in self.store.read(RESULTS_CAMPAIGN).cells
-        }
-        appended = 0
-        for cell in sorted(cells, key=lambda cell: cell.cell_id):
-            if cell.cell_id in existing:
-                continue
-            self.store.append_cell(RESULTS_CAMPAIGN, cell)
-            existing.add(cell.cell_id)
-            appended += 1
-        return appended
+        self.store.append_cells(
+            RESULTS_CAMPAIGN, [new[cell_id] for cell_id in sorted(new)]
+        )
+        return len(new)
+
+    def _settle_failure(
+        self,
+        job: Job,
+        outcome: TaskOutcome,
+        report: ServiceRunReport,
+        say: Callable[[str], None],
+    ) -> Optional[Job]:
+        """Release a drained job, or charge a failed attempt to its budget.
+
+        Returns the job when it is queued for another round.
+        """
+        if outcome.status == STATUS_SKIPPED:
+            self.queue.release(job, {"reason": "drained"})
+            report.skipped += 1
+            report.drained = True
+            return None
+        job = self.queue.retry(
+            job, {"status": outcome.status, "error": outcome.error}
+        )
+        if job.state != STATE_QUEUED:
+            report.failed += 1
+            say(f"{job.job_id}: failed ({outcome.status})")
+            return None
+        report.retried += 1
+        self.telemetry.retry_scheduled(job, outcome.status)
+        say(
+            f"{job.job_id}: {outcome.status}, retrying "
+            f"(attempt {job.attempts}/{job.max_retries + 1})"
+        )
+        return job
 
     # -- the service pass -----------------------------------------------
     def run(
@@ -398,7 +455,12 @@ class ServiceScheduler:
         should_stop: Optional[Callable[[], bool]] = None,
         progress: Optional[Callable[[str], None]] = None,
     ) -> ServiceRunReport:
-        """One full service pass over everything currently queued."""
+        """One full service pass over everything currently queued.
+
+        Each job is settled (cached, then marked ``done``, or released or
+        retried) the moment its worker returns, while the other workers
+        keep simulating; report lists keep submission order regardless.
+        """
         say = progress if progress is not None else (lambda message: None)
         t0 = time.perf_counter()
         report = ServiceRunReport(jobs=self.jobs, strategy=self.strategy)
@@ -419,6 +481,21 @@ class ServiceScheduler:
         exp_jobs = [job for job in queued if job.kind == KIND_EXPERIMENT]
         completed: List[StoredCell] = []
 
+        def finish_cell(
+            job: Job, cell: StoredCell, detail: Dict[str, Any]
+        ) -> Optional[Dict[str, Any]]:
+            """Collect one completed cell and mark its job ``done``;
+            returns the cell's regret entry."""
+            completed.append(cell)
+            regret = self._regret_entry(job, cell.deterministic)
+            bottleneck = cell_bottleneck(cell.deterministic)
+            if bottleneck is not None:
+                self.telemetry.note_bottleneck(cell.key, bottleneck)
+            self.queue.mark_done(
+                job, {**detail, "cell_id": cell.cell_id, "regret": regret}
+            )
+            return regret
+
         # Cache pass: serve hits without touching a worker.
         misses: List[Job] = []
         for job in cell_jobs:
@@ -435,36 +512,12 @@ class ServiceScheduler:
                 continue
             report.cache_hits += 1
             self.telemetry.cache_hit(job, cell_id)
-            from repro.obs.hostmetrics import cached_host_metrics
-
-            avoided = sum(
-                entry.get("makespan") or 0.0
-                for entry in cached.deterministic.get("configs", {}).values()
-            )
-            host = cached_host_metrics(
-                wall_seconds=time.perf_counter() - lookup_t0,
-                simulated_seconds=avoided,
-            )
             key = f"{job.payload.get('family')}@{job.payload.get('ranks')}"
-            completed.append(
-                StoredCell(
-                    cell_id=cell_id,
-                    key=key,
-                    deterministic=cached.deterministic,
-                    host=host.as_record(),
-                    provenance=cached.provenance,
-                )
-            )
+            cell = _served_from_cache(cached, key, lookup_t0)
             self.queue.claim(job, {"cache": "hit"})
-            regret = self._regret_entry(job, cached.deterministic)
+            regret = finish_cell(job, cell, {"cache": "hit"})
             if regret is not None:
                 report.regrets.append(regret)
-            bottleneck = cell_bottleneck(cached.deterministic)
-            if bottleneck is not None:
-                self.telemetry.note_bottleneck(key, bottleneck)
-            self.queue.mark_done(
-                job, {"cache": "hit", "cell_id": cell_id, "regret": regret}
-            )
             say(f"{job.job_id}: cache hit ({cell_id})")
 
         # Predicted-best-first: shortest estimated makespan runs first, so
@@ -504,64 +557,53 @@ class ServiceScheduler:
                         timeout_seconds=job.timeout_seconds,
                     )
                 )
-            outcomes = pool.run(specs, should_stop=should_stop)
-            retry_jobs: List[Job] = []
-            for outcome in outcomes:
+            # Filled in completion order, reported in submission order.
+            regrets: Dict[str, Dict[str, Any]] = {}
+            retries: Dict[str, Job] = {}
+
+            def settle(outcome: TaskOutcome) -> None:
                 job = by_id[outcome.task_id]
-                if outcome.ok:
-                    record = outcome.result
-                    # The worker's telemetry rides the result record but
-                    # must never reach the cache/store: pop it first.
-                    self.telemetry.absorb_worker_records(
-                        job, record.pop("telemetry", None)
-                    )
-                    cell = StoredCell(
-                        cell_id=record["cell_id"],
-                        key=record["key"],
-                        deterministic=record["deterministic"],
-                        host=record["host"],
-                        provenance=record["provenance"],
-                    )
-                    if self.cache.put(cell):
-                        self.telemetry.cache_stored(job, cell.cell_id)
-                    completed.append(cell)
-                    report.executed += 1
-                    regret = self._regret_entry(job, cell.deterministic)
-                    if regret is not None:
-                        report.regrets.append(regret)
-                    bottleneck = cell_bottleneck(cell.deterministic)
-                    if bottleneck is not None:
-                        self.telemetry.note_bottleneck(cell.key, bottleneck)
-                    self.queue.mark_done(
-                        job,
-                        {
-                            "cache": "miss",
-                            "cell_id": cell.cell_id,
-                            "wall_seconds": outcome.wall_seconds,
-                            "regret": regret,
-                        },
-                    )
-                    say(f"{job.job_id}: {record['key']} done")
-                elif outcome.status == STATUS_SKIPPED:
-                    self.queue.release(job, {"reason": "drained"})
-                    report.skipped += 1
-                    report.drained = True
-                else:
-                    job = self.queue.retry(
-                        job, {"status": outcome.status, "error": outcome.error}
-                    )
-                    if job.state == STATE_QUEUED:
-                        report.retried += 1
-                        self.telemetry.retry_scheduled(job, outcome.status)
-                        retry_jobs.append(job)
-                        say(
-                            f"{job.job_id}: {outcome.status}, retrying "
-                            f"(attempt {job.attempts}/{job.max_retries + 1})"
-                        )
-                    else:
-                        report.failed += 1
-                        say(f"{job.job_id}: failed ({outcome.status})")
-            pending = retry_jobs
+                if not outcome.ok:
+                    retry = self._settle_failure(job, outcome, report, say)
+                    if retry is not None:
+                        retries[job.job_id] = retry
+                    return
+                record = outcome.result
+                # The worker's telemetry rides the result record but must
+                # never reach the cache/store: pop it first.
+                self.telemetry.absorb_worker_records(
+                    job, record.pop("telemetry", None)
+                )
+                cell = StoredCell(
+                    cell_id=record["cell_id"],
+                    key=record["key"],
+                    deterministic=record["deterministic"],
+                    host=record["host"],
+                    provenance=record["provenance"],
+                )
+                # Cache before done: a done job's cell is always
+                # recoverable, even if this pass dies before persisting.
+                if self.cache.put(cell):
+                    self.telemetry.cache_stored(job, cell.cell_id)
+                report.executed += 1
+                regret = finish_cell(
+                    job,
+                    cell,
+                    {"cache": "miss", "wall_seconds": outcome.wall_seconds},
+                )
+                if regret is not None:
+                    regrets[job.job_id] = regret
+                say(f"{job.job_id}: {record['key']} done")
+
+            outcomes = pool.run(
+                specs, should_stop=should_stop, on_outcome=settle
+            )
+            report.regrets.extend(
+                regrets[o.task_id] for o in outcomes if o.task_id in regrets
+            )
+            pending = [
+                retries[o.task_id] for o in outcomes if o.task_id in retries
+            ]
             attempt_round += 1
             self.telemetry.round_finished()
             self.telemetry.update_levels(
@@ -597,29 +639,25 @@ class ServiceScheduler:
                         timeout_seconds=job.timeout_seconds,
                     )
                 )
-            outcomes = exp_pool.run(specs, should_stop=should_stop)
-            retry_jobs = []
-            for outcome in outcomes:
+            retries = {}
+
+            def settle_experiment(outcome: TaskOutcome) -> None:
                 job = by_id[outcome.task_id]
                 if outcome.ok:
                     self.queue.mark_done(job, outcome.result)
                     report.experiments += 1
                     say(f"{job.job_id}: experiment done")
-                elif outcome.status == STATUS_SKIPPED:
-                    self.queue.release(job, {"reason": "drained"})
-                    report.skipped += 1
-                    report.drained = True
-                else:
-                    job = self.queue.retry(
-                        job, {"status": outcome.status, "error": outcome.error}
-                    )
-                    if job.state == STATE_QUEUED:
-                        report.retried += 1
-                        self.telemetry.retry_scheduled(job, outcome.status)
-                        retry_jobs.append(job)
-                    else:
-                        report.failed += 1
-            pending_exp = retry_jobs
+                    return
+                retry = self._settle_failure(job, outcome, report, say)
+                if retry is not None:
+                    retries[job.job_id] = retry
+
+            outcomes = exp_pool.run(
+                specs, should_stop=should_stop, on_outcome=settle_experiment
+            )
+            pending_exp = [
+                retries[o.task_id] for o in outcomes if o.task_id in retries
+            ]
             attempt_round += 1
             self.telemetry.round_finished()
 
@@ -634,3 +672,26 @@ class ServiceScheduler:
             extra={"report": report.as_record()}, final=True
         )
         return report
+
+
+def _served_from_cache(
+    cached: StoredCell, key: str, lookup_t0: float
+) -> StoredCell:
+    """*cached* as a completed cell whose host record is the lookup."""
+    from repro.obs.hostmetrics import cached_host_metrics
+
+    avoided = sum(
+        entry.get("makespan") or 0.0
+        for entry in cached.deterministic.get("configs", {}).values()
+    )
+    host = cached_host_metrics(
+        wall_seconds=time.perf_counter() - lookup_t0,
+        simulated_seconds=avoided,
+    )
+    return StoredCell(
+        cell_id=cached.cell_id,
+        key=key,
+        deterministic=cached.deterministic,
+        host=host.as_record(),
+        provenance=cached.provenance,
+    )

@@ -55,6 +55,7 @@ import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -495,6 +496,28 @@ def _share_fields_of(rtype: type) -> Optional[Tuple[str, ...]]:
     return rtype.share_signature_fields
 
 
+#: Every signature field but duty: what an undeclared ``share`` override
+#: is assumed to read (the contract has never allowed duty).
+_FULL_PROJECTION = ("kind", "remote", "self_cap", "op_bytes", "issue_weight")
+
+
+def share_projector(resource: CapacityResource) -> Callable[[Flow], object]:
+    """Maps a flow to the fields of it that ``resource.share`` may read.
+
+    Flows with equal projections receive bit-identical shares from the
+    same load (the :meth:`CapacityResource.share` contract), so one
+    evaluation per projection stands for all of them.
+    """
+    fields = _share_fields_of(type(resource))
+    if fields is None:
+        fields = _FULL_PROJECTION
+    return attrgetter(*fields) if fields else _no_projection
+
+
+def _no_projection(flow: Flow) -> object:
+    return ()
+
+
 def resource_share_token(
     resource: CapacityResource, combos: Sequence[Tuple[str, bool]]
 ) -> object:
@@ -572,26 +595,15 @@ def _build_groups(
     """Attach share groups to each class; returns groups in creation order."""
     groups: Dict[tuple, _ShareGroup] = {}
     group_list: List[_ShareGroup] = []
+    projectors: Dict[CapacityResource, Callable[[Flow], object]] = {}
     for cls in class_list:
         rep = cls.rep
         slots = []
         for r in cls.resources:
-            fields = _share_fields_of(type(r))
-            if fields is None:
-                # Undeclared override: assume it reads the full signature
-                # (duty excepted — the contract has never allowed it).
-                proj: tuple = (
-                    cls.kind,
-                    cls.remote,
-                    cls.self_cap,
-                    rep.op_bytes,
-                    cls.issue_weight,
-                )
-            elif fields:
-                proj = tuple(getattr(rep, name) for name in fields)
-            else:
-                proj = ()
-            gkey = (r, proj)
+            project = projectors.get(r)
+            if project is None:
+                project = projectors[r] = share_projector(r)
+            gkey = (r, project(rep))
             group = groups.get(gkey)
             if group is None:
                 group = _ShareGroup(r, loads[r], rep)

@@ -188,6 +188,18 @@ class TestSVC403CompletionOrder:
         )
         assert "SVC403" in found
 
+    def test_imap_unordered_into_batch_append(self):
+        found = codes(
+            {
+                "src/repro/service/collect.py": """
+                def drain(pool, store, specs):
+                    cells = list(pool.imap_unordered(run, specs))
+                    store.append_cells("results", cells)
+                """
+            }
+        )
+        assert "SVC403" in found
+
     def test_as_completed_into_store(self):
         found = codes(
             {

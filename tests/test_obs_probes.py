@@ -1,10 +1,12 @@
-"""Unit tests for the probe API (counters, gauges, histograms, registry)."""
+"""Unit tests for the probe API (counters, gauges, histograms, registry)
+and the network hooks that feed it."""
 
 import math
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs.hooks import NetworkHooks
 from repro.obs.probes import (
     Counter,
     Gauge,
@@ -12,6 +14,9 @@ from repro.obs.probes import (
     ProbeRegistry,
     UNDERFLOW_BUCKET,
 )
+from repro.pmem.calibration import DEFAULT_CALIBRATION
+from repro.pmem.device import OptaneDeviceResource
+from repro.sim.flow import CapacityResource, Flow, SolverMemo, solve_flow_set
 
 
 class TestCounter:
@@ -152,3 +157,56 @@ class TestProbeRegistry:
         assert records[0]["total"] == 2.0
         assert records[1]["peak"] == 3.0
         assert records[2]["count"] == 1
+
+
+class _SizeSensitive(CapacityResource):
+    """Overrides share() without declaring its fields: every signature
+    field counts toward its projection."""
+
+    def share(self, load, flow):
+        return 1e9 / max(1.0, load.n_total) + flow.op_bytes + flow.self_cap * 1e-3
+
+
+class TestNetworkHooksRateModel:
+    def test_rate_model_matches_per_flow_evaluation(self):
+        device = OptaneDeviceResource("pmem[0]", DEFAULT_CALIBRATION)
+        link = CapacityResource(
+            "upi", capacity_fn=lambda load: 12e9, per_thread_cap_fn=lambda load: 5e9
+        )
+        sized = _SizeSensitive("sized")
+        flows = []
+        for index in range(16):
+            kind = "read" if index % 3 else "write"
+            remote = index % 2 == 1
+            path = (device, link) if remote else (device,)
+            if index % 4 == 0:
+                path += (sized,)
+            flows.append(
+                Flow(
+                    nbytes=1e9,
+                    kind=kind,
+                    remote=remote,
+                    resources=path,
+                    self_cap=(2e9, 3e9)[index % 2],
+                    op_bytes=(4096.0, 65536.0, 2 * 1024.0**2)[index % 3],
+                    issue_weight=0.5,
+                )
+            )
+        # Half the flows are interned (sig >= 0), half never are (sig == -1).
+        memo = SolverMemo()
+        for flow in flows[::2]:
+            memo.intern(flow)
+        assert {flow.sig for flow in flows[1::2]} == {-1}
+        result = solve_flow_set(flows)
+        for flow in flows:
+            flow.rate = result.rates[flow]
+
+        probes = ProbeRegistry()
+        NetworkHooks(probes).on_recompute(0.0, flows, result.loads)
+        for resource, load in result.loads.items():
+            expected = 0.0
+            for flow in flows:
+                if resource in flow.resources:
+                    expected += resource.share(load, flow)
+            gauge = probes.find("resource.rate_model", resource=resource.name)
+            assert gauge.value == expected, resource.name

@@ -122,6 +122,43 @@ class TestAppendOnly:
         assert [c.cell_id for c in loaded.cells] == ["a" * 16, "b" * 16]
         assert loaded.cells_by_key["micro-2k@8"].deterministic["winner"] == "S-LocW"
 
+    def test_batch_append_bytes_match_sequential_appends(self, tmp_path):
+        cells = [cell(c * 16, key=f"wf-{c}@8") for c in "cab"]
+        batch = CampaignStore(str(tmp_path / "batch"))
+        batch.create("camp", {"suite": "micro"})
+        batch.append_cells("camp", cells[:1])
+        batch.append_cells("camp", cells[1:])
+        sequential = CampaignStore(str(tmp_path / "sequential"))
+        sequential.create("camp", {"suite": "micro"})
+        for one in cells:
+            sequential.append_cell("camp", one)
+        with open(batch.path("camp"), "rb") as handle:
+            batch_bytes = handle.read()
+        with open(sequential.path("camp"), "rb") as handle:
+            assert batch_bytes == handle.read()
+        # One canonical line per cell, in the order given, after the header.
+        lines = batch_bytes.decode("utf-8").splitlines()
+        assert lines[1:] == [
+            canonical_json(one.as_record("camp")) for one in cells
+        ]
+
+    def test_batch_append_rejects_duplicates_without_writing(self, tmp_path):
+        store = CampaignStore(str(tmp_path))
+        store.create("camp", {"suite": "micro"})
+        store.append_cell("camp", cell("a" * 16))
+        with open(store.path("camp"), "rb") as handle:
+            before = handle.read()
+        for batch in (
+            [cell("b" * 16), cell("b" * 16)],  # within the batch
+            [cell("c" * 16), cell("a" * 16)],  # against the campaign
+        ):
+            with pytest.raises(StorageError, match="already recorded"):
+                store.append_cells("camp", batch)
+            with open(store.path("camp"), "rb") as handle:
+                assert handle.read() == before
+        with pytest.raises(StorageError):
+            store.append_cells("missing", [cell()])
+
     def test_next_name_skips_existing(self, tmp_path):
         store = CampaignStore(str(tmp_path))
         assert store.next_name("micro") == "micro-001"

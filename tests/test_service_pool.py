@@ -83,6 +83,33 @@ def test_parallel_preserves_submission_order():
     assert all(o.wall_seconds >= 0 for o in outcomes)
 
 
+def test_parallel_refills_slots_before_outcome_callbacks():
+    events = []
+
+    class Observer:
+        def task_started(self, task_id):
+            events.append(("started", task_id))
+
+        def task_settled(self, outcome):
+            pass
+
+        def pool_rebuilt(self, reason):
+            pass
+
+    outcomes = WorkerPool(_double, jobs=2, observer=Observer()).run(
+        _specs(3), on_outcome=lambda o: events.append(("outcome", o.task_id))
+    )
+    assert [o.result for o in outcomes] == [0, 2, 4]
+    first_outcome = next(
+        i for i, event in enumerate(events) if event[0] == "outcome"
+    )
+    # The freed slot took the third task before any callback ran.
+    assert events.index(("started", "t2")) < first_outcome
+    assert sorted(e for e in events if e[0] == "outcome") == [
+        ("outcome", f"t{i}") for i in range(3)
+    ]
+
+
 def test_parallel_worker_exception_is_contained():
     outcomes = WorkerPool(_boom, jobs=2).run(_specs(3))
     assert all(o.status == STATUS_ERROR for o in outcomes)

@@ -1,12 +1,19 @@
 """Service scheduler: cache-served reruns, retries, drain, determinism."""
 
+import json
 import random
 import time
 
 import pytest
 
 from repro.obs.store import CampaignStore, StoredCell
-from repro.service.queue import KIND_CELL, STATE_FAILED, JobQueue
+from repro.service.queue import (
+    KIND_CELL,
+    STATE_DONE,
+    STATE_FAILED,
+    STATE_RUNNING,
+    JobQueue,
+)
 from repro.service.scheduler import RESULTS_CAMPAIGN, ServiceScheduler
 
 
@@ -109,6 +116,81 @@ def test_drain_releases_jobs_without_consuming_attempts(root):
     # Jobs are still queued with their full retry budget.
     assert len(queue.queued()) == 2
     assert all(job.attempts == 0 for job in queue.queued())
+
+
+def test_inline_job_is_done_before_the_next_one_starts(root, monkeypatch):
+    import repro.service.scheduler as scheduler_module
+
+    seen_states = []
+    real_execute = scheduler_module.execute_cell_record
+
+    def spying_execute(payload):
+        seen_states.append(
+            {job.job_id: job.state for job in JobQueue(root).load()}
+        )
+        return real_execute(payload)
+
+    monkeypatch.setattr(scheduler_module, "execute_cell_record", spying_execute)
+    scheduler = ServiceScheduler(root=root, jobs=1)
+    _submit_micro(scheduler)
+    report = scheduler.run()
+    assert report.executed == 2
+    first, second = seen_states
+    assert set(first.values()) == {STATE_RUNNING}
+    # Job 1 was cached and marked done before job 2 began simulating.
+    assert sorted(second.values()) == [STATE_DONE, STATE_RUNNING]
+
+
+def test_regrets_keep_submission_order_when_outcomes_arrive_reversed(
+    root, monkeypatch
+):
+    import repro.service.scheduler as scheduler_module
+    from repro.service.pool import WorkerPool
+
+    class ReversedPool(WorkerPool):
+        """Runs inline, then reports outcomes last-finished-first."""
+
+        def run(self, tasks, should_stop=None, on_outcome=None):
+            outcomes = WorkerPool(self.task_fn, jobs=1).run(tasks)
+            for outcome in reversed(outcomes):
+                on_outcome(outcome)
+            return outcomes
+
+    in_order = ServiceScheduler(root=root + "-in-order")
+    _submit_micro(in_order)
+    expected = [entry["key"] for entry in in_order.run().regrets]
+
+    monkeypatch.setattr(scheduler_module, "WorkerPool", ReversedPool)
+    reversed_run = ServiceScheduler(root=root)
+    _submit_micro(reversed_run)
+    report = reversed_run.run()
+    assert report.executed == 2
+    assert [entry["key"] for entry in report.regrets] == expected
+    assert len(expected) == 2
+
+
+def test_done_cells_missing_from_the_campaign_are_recovered(root):
+    """A pass that died after settling jobs is completed by the next one."""
+    import os
+
+    scheduler = ServiceScheduler(root=root)
+    _submit_micro(scheduler)
+    assert scheduler.run().cells_appended == 2
+    path = scheduler.store.path(RESULTS_CAMPAIGN)
+    with open(path, "rb") as handle:
+        original = handle.read()
+    os.remove(path)
+
+    report = ServiceScheduler(root=root).run()
+    assert report.executed == 0
+    assert report.cells_appended == 2
+    recovered = CampaignStore(scheduler.store.root).read(RESULTS_CAMPAIGN)
+    assert [c.cell_id for c in recovered.cells] == [
+        json.loads(line)["cell_id"] for line in original.splitlines()[1:]
+    ]
+    assert all(c.host["kind"] == "cached" for c in recovered.cells)
+    # Nothing is missing any more: the next pass appends nothing.
+    assert ServiceScheduler(root=root).run().cells_appended == 0
 
 
 def test_persisted_cells_independent_of_completion_order(tmp_path):
