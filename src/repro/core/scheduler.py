@@ -69,8 +69,6 @@ class WorkflowScheduler:
         Optional :class:`repro.service.cache.ResultCache`; oracle tuning is
         then served from (and populates) the service's content-addressed
         store instead of re-simulating known workflows.
-    jobs:
-        Worker processes for oracle tuning (1 = in-process serial).
     """
 
     def __init__(
@@ -78,7 +76,6 @@ class WorkflowScheduler:
         strategy: str = "hybrid",
         cal: OptaneCalibration = DEFAULT_CALIBRATION,
         cache: Optional["ResultCache"] = None,
-        jobs: int = 1,
     ) -> None:
         self.cal = cal
         self.strategy = strategy
@@ -86,7 +83,7 @@ class WorkflowScheduler:
             self._engine: Optional[RecommendationEngine] = None
         else:
             self._engine = RecommendationEngine(strategy=strategy, cal=cal)
-        self._tuner = ExhaustiveTuner(cal=cal, cache=cache, jobs=jobs)
+        self._tuner = ExhaustiveTuner(cal=cal, cache=cache)
 
     # ------------------------------------------------------------------
     def recommend(self, spec: WorkflowSpec) -> Recommendation:

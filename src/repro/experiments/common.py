@@ -9,7 +9,7 @@ paper's quantified statements against the simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.apps.suite import SuiteEntry, suite_entry
 from repro.core.autotune import ExhaustiveTuner, TuningReport

@@ -188,9 +188,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.jobs > 1:
         from repro.service.pool import TaskSpec, WorkerPool
-        from repro.service.tasks import execute_experiment_object
+        from repro.service.tasks import execute_experiment
 
-        pool = WorkerPool(execute_experiment_object, jobs=args.jobs)
+        pool = WorkerPool(execute_experiment, jobs=args.jobs)
         outcomes = pool.run(
             [
                 TaskSpec(task_id=experiment_id, payload={"experiment": experiment_id})
@@ -261,7 +261,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for result in results:
             print(result.render())
             print()
-    failed = sum(1 for r in results for c in r.claims if not c.holds)
     print(
         f"[{sum(r.claims_held for r in results)}/{sum(len(r.claims) for r in results)}"
         " claims reproduced]",

@@ -9,7 +9,7 @@ the interleaved bands of a parallel one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import Tracer

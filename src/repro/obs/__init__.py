@@ -86,7 +86,6 @@ from repro.obs.hostmetrics import (
     HostMetrics,
     aggregate_host_metrics,
     simulated_host_metrics,
-    threaded_host_metrics,
 )
 from repro.obs.manifest import RunManifest, build_manifest, calibration_hash
 from repro.obs.probes import Counter, Gauge, Histogram, ProbeRegistry
@@ -153,7 +152,6 @@ __all__ = [
     "service_chrome_trace",
     "simulated_host_metrics",
     "span_records",
-    "threaded_host_metrics",
     "to_json",
     "to_jsonl",
     "trace_makespans",

@@ -26,7 +26,6 @@ trajectory every subsequent optimization PR measures against).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -46,7 +45,6 @@ from repro.obs.hostmetrics import (
     aggregate_host_metrics,
     host_metrics_from_record,
     simulated_host_metrics,
-    threaded_host_metrics,
 )
 from repro.obs.manifest import calibration_hash
 from repro.obs.store import (
@@ -306,7 +304,6 @@ def run_spec_cell(
     ranks: Optional[int] = None,
     profile: bool = False,
     profile_top: Optional[int] = None,
-    jobs: int = 1,
     on_observation: Optional[Callable[[Observation], None]] = None,
 ) -> CellResult:
     """Execute one cell for an already-built spec (suite member or not).
@@ -314,50 +311,16 @@ def run_spec_cell(
     ``family``/``ranks`` default to the spec's own name and rank count —
     pass the suite coordinate when the spec came from
     :func:`~repro.apps.suite.build_workflow` so paper expectations attach.
-    With ``jobs > 1`` the configurations are evaluated in parallel worker
-    processes (the deterministic payload is byte-identical either way).
 
-    ``on_observation`` fires after each configuration's run completes
-    (serial path only) — the service worker's telemetry hook.  The
-    callback sees the finished :class:`~repro.obs.capture.Observation`;
-    nothing it does can alter the deterministic payload.
+    ``on_observation`` fires after each configuration's run completes —
+    the service worker's telemetry hook.  The callback sees the finished
+    :class:`~repro.obs.capture.Observation`; nothing it does can alter the
+    deterministic payload.
     """
     if not configs:
         raise ConfigurationError("a campaign cell needs at least one config")
     family = family if family is not None else spec.name
     ranks = ranks if ranks is not None else spec.ranks
-    if jobs > 1 and not profile:
-        from repro.service.pool import TaskSpec, WorkerPool
-        from repro.service.tasks import execute_config
-
-        pool = WorkerPool(execute_config, jobs=jobs)
-        outcomes = pool.run(
-            [
-                TaskSpec(
-                    task_id=config.label,
-                    payload={"spec": spec, "config": config, "cal": cal},
-                )
-                for config in configs
-            ]
-        )
-        failed = [o for o in outcomes if not o.ok]
-        if failed:
-            raise ConfigurationError(
-                f"{len(failed)} config worker(s) failed for {spec.name}: "
-                f"{failed[0].error}"
-            )
-        slices = [o.result for o in outcomes]
-        return _assemble_cell(
-            spec,
-            family,
-            ranks,
-            cal,
-            config_payloads={s["config"]: s["payload"] for s in slices},
-            manifests=[s["manifest"] for s in slices],
-            host=aggregate_host_metrics(
-                host_metrics_from_record(s["host"]) for s in slices
-            ),
-        )
     meter_kwargs: Dict[str, Any] = {"profile": profile}
     if profile_top is not None:
         meter_kwargs["profile_top"] = profile_top
@@ -507,23 +470,23 @@ def run_campaign(
         )
         for family, ranks in chosen_cells
     )
-    run_cell_kwargs = dict(
-        configs=tuple(configs),
-        cal=cal,
-        profile=profile,
-        profile_top=profile_top,
-        **cell_kwargs,
-    )
     if jobs > 1:
         from repro.service.pool import TaskSpec, WorkerPool
-        from repro.service.tasks import execute_cell
+        from repro.service.tasks import execute_cell_record
 
-        pool = WorkerPool(execute_cell, jobs=jobs)
+        payload: Dict[str, Any] = dict(
+            configs=[config.label for config in configs],
+            calibration=dataclasses.asdict(cal),
+            profile=profile,
+            profile_top=profile_top,
+            **cell_kwargs,
+        )
+        pool = WorkerPool(execute_cell_record, jobs=jobs)
         outcomes = pool.run(
             [
                 TaskSpec(
                     task_id=cell_id,
-                    payload=dict(family=family, ranks=ranks, **run_cell_kwargs),
+                    payload=dict(family=family, ranks=ranks, **payload),
                 )
                 for cell_id, family, ranks in planned
             ]
@@ -535,7 +498,10 @@ def run_campaign(
             )
         # Completion order is nondeterministic; storage order is not.
         run.cells.extend(
-            sorted((o.result for o in outcomes), key=lambda c: c.cell_id)
+            sorted(
+                (_cell_from_stored(StoredCell(**o.result)) for o in outcomes),
+                key=lambda c: c.cell_id,
+            )
         )
         for cell in run.cells:
             if store is not None:
@@ -543,6 +509,13 @@ def run_campaign(
             if progress is not None:
                 progress(_progress_line(cell))
         return run
+    run_cell_kwargs = dict(
+        configs=tuple(configs),
+        cal=cal,
+        profile=profile,
+        profile_top=profile_top,
+        **cell_kwargs,
+    )
     for _cell_id, family, ranks in planned:
         cell = run_cell(family, ranks, **run_cell_kwargs)
         run.cells.append(cell)
@@ -553,49 +526,6 @@ def run_campaign(
     return run
 
 
-def append_emulated_run(
-    store: CampaignStore,
-    campaign: str,
-    spec: WorkflowSpec,
-    config: SchedulerConfig,
-    result: "Any",
-) -> StoredCell:
-    """Record a :mod:`repro.runtime.threaded` run as a campaign cell.
-
-    The deterministic payload carries only the run's identity (an emulated
-    run is wall-clock by nature, so its makespan lives in ``host``); the
-    host payload uses the exact record shape simulated cells use, which is
-    what makes the two kinds comparable in one store.
-    """
-    host = threaded_host_metrics(result)
-    deterministic = {
-        "family": spec.name,
-        "ranks": spec.ranks,
-        "workflow": spec.name,
-        "iterations": spec.iterations,
-        "stack": spec.stack_name,
-        "calibration_sha256": None,
-        "configs": {config.label: {"makespan": None, "emulated": True}},
-        "winner": config.label,
-        "paper_best": None,
-        "figure": None,
-        "paper_hit": None,
-        "emulated": True,
-    }
-    digest = hashlib.sha256(
-        f"emulated|{spec.name}|{spec.ranks}|{spec.iterations}|{config.label}".encode()
-    )
-    cell = StoredCell(
-        cell_id=digest.hexdigest()[:16],
-        key=f"{spec.name}@{spec.ranks}",
-        deterministic=deterministic,
-        host=host.as_record(),
-        provenance={},
-    )
-    store.append_cell(campaign, cell)
-    return cell
-
-
 # ----------------------------------------------------------------------
 # Rehydration: stored campaign -> comparable view.
 # ----------------------------------------------------------------------
@@ -604,20 +534,22 @@ def campaign_from_store(stored: StoredCampaign) -> CampaignRun:
     run = CampaignRun(
         name=stored.name, suite=stored.header.get("suite", "custom")
     )
-    for cell in stored.cells:
-        deterministic = cell.deterministic
-        run.cells.append(
-            CellResult(
-                key=cell.key,
-                family=deterministic.get("family", cell.key),
-                ranks=int(deterministic.get("ranks", 0)),
-                cell_id=cell.cell_id,
-                deterministic=deterministic,
-                host=host_metrics_from_record(cell.host),
-                provenance=cell.provenance,
-            )
-        )
+    run.cells.extend(_cell_from_stored(cell) for cell in stored.cells)
     return run
+
+
+def _cell_from_stored(cell: StoredCell) -> CellResult:
+    """The :class:`CellResult` view of one stored (or returned) cell."""
+    deterministic = cell.deterministic
+    return CellResult(
+        key=cell.key,
+        family=deterministic.get("family", cell.key),
+        ranks=int(deterministic.get("ranks", 0)),
+        cell_id=cell.cell_id,
+        deterministic=deterministic,
+        host=host_metrics_from_record(cell.host),
+        provenance=cell.provenance,
+    )
 
 
 # ----------------------------------------------------------------------

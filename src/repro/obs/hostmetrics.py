@@ -10,9 +10,9 @@ network already track (events executed, rate recomputations, solver
 iterations), yielding one :class:`HostMetrics` record per campaign cell.
 
 The record shape is shared between *simulated* cells (discrete-event runs)
-and *emulated* cells (:mod:`repro.runtime.threaded` wall-clock runs), so a
-campaign store can hold both and a dashboard can compare them in one
-table.  The headline derived rate is ``sim_seconds_per_wall_second`` —
+and *cached* cells (service cache hits), so a campaign store can hold both
+and a dashboard can compare them in one table.  The headline derived rate
+is ``sim_seconds_per_wall_second`` —
 how much virtual time the simulator produces per second of host time —
 the repo's first recorded performance trajectory (``BENCH_campaign.json``).
 
@@ -38,7 +38,6 @@ from repro.units import KiB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.capture import Observation
-    from repro.runtime.threaded import RealRunResult
 
 #: Hotspot rows kept per profiled cell.
 PROFILE_TOP_DEFAULT = 10
@@ -49,9 +48,6 @@ MAXRSS_UNIT_BYTES = 1 if sys.platform == "darwin" else KiB
 
 #: Record-shape marker for discrete-event (virtual-time) runs.
 KIND_SIMULATED = "simulated"
-
-#: Record-shape marker for threaded wall-clock (emulated) runs.
-KIND_EMULATED = "emulated"
 
 #: Record-shape marker for service cache hits: nothing was simulated, the
 #: wall cost is the cache lookup itself.
@@ -78,13 +74,13 @@ class Hotspot:
 
 @dataclass
 class HostMetrics:
-    """Host-side cost of one campaign cell (or one emulated run).
+    """Host-side cost of one campaign cell.
 
     ``wall_seconds`` and ``peak_rss_bytes`` come from the host clock and
     the kernel's resident-set high-water mark; the event/recompute/solver
     counters are deterministic simulator totals copied here because they
-    are *cost* signals, not results.  The record deliberately mirrors the same keys
-    for simulated and emulated runs so both kinds live in one store.
+    are *cost* signals, not results.  Simulated and cached cells share the
+    record's keys, so both kinds live in one store.
     """
 
     kind: str
@@ -97,7 +93,7 @@ class HostMetrics:
     flows_completed: float = 0.0
     #: Solver fast-path accounting (PR-5): equivalence classes solved,
     #: converged-state memo hits/misses, and recompute requests absorbed
-    #: by coalescing.  Zero for emulated/cached runs and for the
+    #: by coalescing.  Zero for cached runs and for the
     #: reference solver.
     solver_classes: float = 0.0
     solver_memo_hits: float = 0.0
@@ -109,7 +105,7 @@ class HostMetrics:
 
     @property
     def sim_seconds_per_wall_second(self) -> float:
-        """Virtual seconds produced per host second (0 for emulated runs)."""
+        """Virtual seconds produced per host second."""
         if self.wall_seconds <= 0:
             return 0.0
         return self.simulated_seconds / self.wall_seconds
@@ -286,21 +282,6 @@ def cached_host_metrics(wall_seconds: float, simulated_seconds: float = 0.0) -> 
         wall_seconds=wall_seconds,
         simulated_seconds=simulated_seconds,
         runs=0,
-    )
-
-
-def threaded_host_metrics(result: "RealRunResult") -> HostMetrics:
-    """The same record shape for a :mod:`repro.runtime.threaded` run.
-
-    Emulated runs have no virtual clock and no flow network, so the
-    simulator counters are zero; the wall-clock fields carry the real
-    measurement.  This is what makes emulated and simulated runs
-    comparable rows in one campaign store.
-    """
-    return HostMetrics(
-        kind=KIND_EMULATED,
-        wall_seconds=result.makespan_seconds,
-        runs=1,
     )
 
 

@@ -4,10 +4,8 @@ Design constraints, in priority order:
 
 1. **Zero overhead when disabled.**  Model code never builds instruments
    eagerly; it holds an optional hook object (``None`` by default) and the
-   emission site is one ``is None`` branch.  A disabled
-   :class:`ProbeRegistry` additionally hands out shared null instruments
-   whose mutators are empty, so code that *does* hold an instrument still
-   pays nothing measurable.
+   emission site is one ``is None`` branch.  A registry exists only for
+   an observed run.
 2. **Determinism.**  Instruments are identified by ``(kind, name, sorted
    attributes)`` and iterated in sorted order, and every sample is keyed on
    virtual time — two identical runs produce byte-identical exports.
@@ -241,43 +239,15 @@ def step_time_weighted_mean(
     return weighted / horizon
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def add(self, now: float, value: float = 1.0) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, now: float, value: float) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, now: float, value: float) -> None:
-        pass
-
-
-_NULL_COUNTER = _NullCounter("null")
-_NULL_GAUGE = _NullGauge("null")
-_NULL_HISTOGRAM = _NullHistogram("null")
-
-
 class ProbeRegistry:
     """Factory and container for every instrument of one observed run.
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: asking for
     the same ``(name, attributes)`` twice returns the same instrument, so
-    independent emission sites accumulate into one stream.  A disabled
-    registry returns shared null instruments.
+    independent emission sites accumulate into one stream.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, str, AttrItems], Instrument] = {}
 
     # ------------------------------------------------------------------
@@ -291,18 +261,12 @@ class ProbeRegistry:
         return instrument
 
     def counter(self, name: str, **attrs: Any) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
         return self._get(Counter, name, attrs)
 
     def gauge(self, name: str, **attrs: Any) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
         return self._get(Gauge, name, attrs)
 
     def histogram(self, name: str, **attrs: Any) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         return self._get(Histogram, name, attrs)
 
     # ------------------------------------------------------------------

@@ -88,6 +88,51 @@ def cell_id_from_manifests(manifests: Iterable[Mapping[str, Any]]) -> str:
 
 
 # ----------------------------------------------------------------------
+# The append-only JSONL log primitive (campaigns, job queue, telemetry).
+# ----------------------------------------------------------------------
+def read_jsonl(path: str) -> List[Dict[str, Any]]:
+    """The records of a JSONL log, in file order.
+
+    A crash or a full disk in the middle of an append can leave the last
+    line without its newline; that torn tail is skipped, so the log reads
+    as its intact prefix (:func:`append_jsonl` truncates it before the
+    next write).  A bad record before the last line is corruption, not a
+    torn write, and raises :class:`StorageError` naming ``path:line``.
+    """
+    with open(path, "rb") as handle:
+        lines = handle.read().split(b"\n")
+    lines.pop()  # after the last newline: empty, or a torn append
+    records: List[Dict[str, Any]] = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise StorageError(f"{path}:{number}: corrupt record ({exc})") from None
+        if not isinstance(record, dict):
+            raise StorageError(f"{path}:{number}: record is not a JSON object")
+        records.append(record)
+    return records
+
+
+def append_jsonl(path: str, text: str) -> None:
+    """Append whole lines (*text* ends in a newline) to a JSONL log.
+
+    A torn final line left by an interrupted append is truncated first,
+    so the new records start on a line of their own.
+    """
+    with open(path, "a+b") as handle:
+        end = handle.seek(0, os.SEEK_END)
+        if end:
+            handle.seek(end - 1)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                handle.truncate(handle.read().rfind(b"\n") + 1)
+        handle.write(text.encode("utf-8"))
+
+
+# ----------------------------------------------------------------------
 # In-memory views of stored campaigns.
 # ----------------------------------------------------------------------
 @dataclass
@@ -304,11 +349,10 @@ class CampaignStore:
                     "to re-run)"
                 )
             seen.add(cell.cell_id)
-        lines = "".join(
-            canonical_json(cell.as_record(name)) + "\n" for cell in cells
+        append_jsonl(
+            path,
+            "".join(canonical_json(cell.as_record(name)) + "\n" for cell in cells),
         )
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(lines)
 
     # -- reading --------------------------------------------------------
     def read(self, name: str) -> StoredCampaign:
@@ -321,28 +365,23 @@ class CampaignStore:
             )
         header: Dict[str, Any] = {}
         cells: List[StoredCell] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("record") == "campaign":
-                    header = record
-                elif record.get("record") == "cell":
-                    cells.append(
-                        StoredCell(
-                            cell_id=record["cell_id"],
-                            key=record["key"],
-                            deterministic=record["deterministic"],
-                            host=record.get("host", {}),
-                            provenance=record.get("provenance", {}),
-                        )
+        for record in read_jsonl(path):
+            if record.get("record") == "campaign":
+                header = record
+            elif record.get("record") == "cell":
+                cells.append(
+                    StoredCell(
+                        cell_id=record["cell_id"],
+                        key=record["key"],
+                        deterministic=record["deterministic"],
+                        host=record.get("host", {}),
+                        provenance=record.get("provenance", {}),
                     )
-                else:
-                    raise StorageError(
-                        f"{path}: unknown record type {record.get('record')!r}"
-                    )
+                )
+            else:
+                raise StorageError(
+                    f"{path}: unknown record type {record.get('record')!r}"
+                )
         return StoredCampaign(name=name, header=header, cells=cells)
 
     def validate(self, name: str) -> List[str]:

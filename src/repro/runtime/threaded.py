@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.configs import SchedulerConfig
 from repro.errors import ConfigurationError
@@ -48,17 +48,6 @@ class RealRunResult:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    def host_record(self) -> Dict[str, Any]:
-        """This run in the campaign store's ``"host"`` record shape.
-
-        Emulated (wall-clock) runs and simulated cells share one record
-        layout, so both can live in a single campaign store; see
-        :func:`repro.obs.hostmetrics.threaded_host_metrics`.
-        """
-        from repro.obs.hostmetrics import threaded_host_metrics
-
-        return threaded_host_metrics(self).as_record()
 
 
 class ThreadedWorkflow:

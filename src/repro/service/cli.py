@@ -41,6 +41,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
+from repro.obs.store import read_jsonl
 from repro.service.cache import ResultCache
 from repro.service.queue import DEFAULT_SERVICE_DIR, JobQueue
 from repro.service.scheduler import (
@@ -166,13 +167,8 @@ def _latest_snapshot(path: str) -> Optional[Dict[str, Any]]:
     """The last telemetry snapshot record in *path*, or None."""
     if not os.path.exists(path):
         return None
-    last = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                last = line
-    return json.loads(last) if last else None
+    records = read_jsonl(path)
+    return records[-1] if records else None
 
 
 def _snapshot_value(

@@ -449,6 +449,83 @@ class ServiceScheduler:
         )
         return job
 
+    def _run_rounds(
+        self,
+        task: Callable[[Dict[str, Any]], Any],
+        jobs: List[Job],
+        settle_ok: Callable[[Job, TaskOutcome], Any],
+        report: ServiceRunReport,
+        say: Callable[[str], None],
+        should_stop: Optional[Callable[[], bool]],
+        t0: float,
+    ) -> List[Any]:
+        """Run *jobs* on the pool in claim -> dispatch -> settle -> retry
+        rounds, with exponential backoff between rounds.
+
+        ``settle_ok(job, outcome)`` settles each successful outcome as its
+        worker returns; failures are released or retried.  Returns what
+        ``settle_ok`` returned (``None`` dropped), in submission order
+        within each round whatever the completion order.
+        """
+        pool = WorkerPool(task, jobs=self.jobs, observer=self.telemetry)
+        settled: List[Any] = []
+        attempt_round = 0
+        pending = jobs
+        while pending and not report.drained:
+            if should_stop is not None and should_stop():
+                report.drained = True
+                break
+            if attempt_round:
+                delay = self.backoff_seconds * (2 ** (attempt_round - 1))
+                self.telemetry.backoff(delay, attempt_round)
+                time.sleep(delay)
+            by_id: Dict[str, Job] = {}
+            specs: List[TaskSpec] = []
+            for job in pending:
+                self.queue.claim(job, {"round": attempt_round})
+                by_id[job.job_id] = job
+                context = self.telemetry.worker_dispatch(job)
+                specs.append(
+                    TaskSpec(
+                        task_id=job.job_id,
+                        payload=(
+                            {**job.payload, "_telemetry": context}
+                            if context is not None
+                            else job.payload
+                        ),
+                        timeout_seconds=job.timeout_seconds,
+                    )
+                )
+            # Filled in completion order, reported in submission order.
+            results: Dict[str, Any] = {}
+            retries: Dict[str, Job] = {}
+
+            def settle(outcome: TaskOutcome) -> None:
+                job = by_id[outcome.task_id]
+                if outcome.ok:
+                    results[job.job_id] = settle_ok(job, outcome)
+                    return
+                retry = self._settle_failure(job, outcome, report, say)
+                if retry is not None:
+                    retries[job.job_id] = retry
+
+            outcomes = pool.run(specs, should_stop=should_stop, on_outcome=settle)
+            settled.extend(
+                results[o.task_id]
+                for o in outcomes
+                if results.get(o.task_id) is not None
+            )
+            pending = [retries[o.task_id] for o in outcomes if o.task_id in retries]
+            attempt_round += 1
+            self.telemetry.round_finished()
+            self.telemetry.update_levels(
+                counts=self.queue.counts(),
+                report=report,
+                wall_seconds=time.perf_counter() - t0,
+            )
+            self.telemetry.write_snapshot(extra={"round": attempt_round})
+        return settled
+
     # -- the service pass -----------------------------------------------
     def run(
         self,
@@ -527,139 +604,47 @@ class ServiceScheduler:
         for order, job in enumerate(misses):
             self.telemetry.schedule_decided(job, order, predicted[job.job_id])
 
-        pool = WorkerPool(
-            execute_cell_record, jobs=self.jobs, observer=self.telemetry
+        def settle_cell(job: Job, outcome: TaskOutcome) -> Optional[Dict[str, Any]]:
+            record = outcome.result
+            # The worker's telemetry rides the result record but must
+            # never reach the cache/store: pop it first.
+            self.telemetry.absorb_worker_records(job, record.pop("telemetry", None))
+            cell = StoredCell(**record)
+            # Cache before done: a done job's cell is always recoverable,
+            # even if this pass dies before persisting.
+            if self.cache.put(cell):
+                self.telemetry.cache_stored(job, cell.cell_id)
+            report.executed += 1
+            regret = finish_cell(
+                job, cell, {"cache": "miss", "wall_seconds": outcome.wall_seconds}
+            )
+            say(f"{job.job_id}: {cell.key} done")
+            return regret
+
+        report.regrets.extend(
+            self._run_rounds(
+                execute_cell_record, misses, settle_cell, report, say, should_stop, t0
+            )
         )
-        attempt_round = 0
-        pending = misses
-        while pending and not report.drained:
-            if should_stop is not None and should_stop():
-                report.drained = True
-                break
-            if attempt_round:
-                delay = self.backoff_seconds * (2 ** (attempt_round - 1))
-                self.telemetry.backoff(delay, attempt_round)
-                time.sleep(delay)
-            by_id: Dict[str, Job] = {}
-            specs: List[TaskSpec] = []
-            for job in pending:
-                self.queue.claim(job, {"round": attempt_round})
-                by_id[job.job_id] = job
-                context = self.telemetry.worker_dispatch(job)
-                specs.append(
-                    TaskSpec(
-                        task_id=job.job_id,
-                        payload=(
-                            {**job.payload, "_telemetry": context}
-                            if context is not None
-                            else job.payload
-                        ),
-                        timeout_seconds=job.timeout_seconds,
-                    )
-                )
-            # Filled in completion order, reported in submission order.
-            regrets: Dict[str, Dict[str, Any]] = {}
-            retries: Dict[str, Job] = {}
-
-            def settle(outcome: TaskOutcome) -> None:
-                job = by_id[outcome.task_id]
-                if not outcome.ok:
-                    retry = self._settle_failure(job, outcome, report, say)
-                    if retry is not None:
-                        retries[job.job_id] = retry
-                    return
-                record = outcome.result
-                # The worker's telemetry rides the result record but must
-                # never reach the cache/store: pop it first.
-                self.telemetry.absorb_worker_records(
-                    job, record.pop("telemetry", None)
-                )
-                cell = StoredCell(
-                    cell_id=record["cell_id"],
-                    key=record["key"],
-                    deterministic=record["deterministic"],
-                    host=record["host"],
-                    provenance=record["provenance"],
-                )
-                # Cache before done: a done job's cell is always
-                # recoverable, even if this pass dies before persisting.
-                if self.cache.put(cell):
-                    self.telemetry.cache_stored(job, cell.cell_id)
-                report.executed += 1
-                regret = finish_cell(
-                    job,
-                    cell,
-                    {"cache": "miss", "wall_seconds": outcome.wall_seconds},
-                )
-                if regret is not None:
-                    regrets[job.job_id] = regret
-                say(f"{job.job_id}: {record['key']} done")
-
-            outcomes = pool.run(
-                specs, should_stop=should_stop, on_outcome=settle
-            )
-            report.regrets.extend(
-                regrets[o.task_id] for o in outcomes if o.task_id in regrets
-            )
-            pending = [
-                retries[o.task_id] for o in outcomes if o.task_id in retries
-            ]
-            attempt_round += 1
-            self.telemetry.round_finished()
-            self.telemetry.update_levels(
-                counts=self.queue.counts(),
-                report=report,
-                wall_seconds=time.perf_counter() - t0,
-            )
-            self.telemetry.write_snapshot(extra={"round": attempt_round})
 
         # Experiment jobs: pooled, retried, never cached.
-        exp_pool = WorkerPool(
-            execute_experiment, jobs=self.jobs, observer=self.telemetry
-        )
-        pending_exp = [] if report.drained else exp_jobs
-        if report.drained and exp_jobs:
+        def settle_experiment(job: Job, outcome: TaskOutcome) -> None:
+            self.queue.mark_done(job, _experiment_summary(outcome.result))
+            report.experiments += 1
+            say(f"{job.job_id}: experiment done")
+
+        if report.drained:
             report.skipped += len(exp_jobs)
-        attempt_round = 0
-        while pending_exp and not report.drained:
-            if should_stop is not None and should_stop():
-                report.drained = True
-                break
-            if attempt_round:
-                time.sleep(self.backoff_seconds * (2 ** (attempt_round - 1)))
-            by_id = {}
-            specs = []
-            for job in pending_exp:
-                self.queue.claim(job, {"round": attempt_round})
-                by_id[job.job_id] = job
-                specs.append(
-                    TaskSpec(
-                        task_id=job.job_id,
-                        payload=job.payload,
-                        timeout_seconds=job.timeout_seconds,
-                    )
-                )
-            retries = {}
-
-            def settle_experiment(outcome: TaskOutcome) -> None:
-                job = by_id[outcome.task_id]
-                if outcome.ok:
-                    self.queue.mark_done(job, outcome.result)
-                    report.experiments += 1
-                    say(f"{job.job_id}: experiment done")
-                    return
-                retry = self._settle_failure(job, outcome, report, say)
-                if retry is not None:
-                    retries[job.job_id] = retry
-
-            outcomes = exp_pool.run(
-                specs, should_stop=should_stop, on_outcome=settle_experiment
+        else:
+            self._run_rounds(
+                execute_experiment,
+                exp_jobs,
+                settle_experiment,
+                report,
+                say,
+                should_stop,
+                t0,
             )
-            pending_exp = [
-                retries[o.task_id] for o in outcomes if o.task_id in retries
-            ]
-            attempt_round += 1
-            self.telemetry.round_finished()
 
         report.cells_appended = self._persist_cells(completed)
         report.wall_seconds = time.perf_counter() - t0
@@ -672,6 +657,19 @@ class ServiceScheduler:
             extra={"report": report.as_record()}, final=True
         )
         return report
+
+
+def _experiment_summary(result: Any) -> Dict[str, Any]:
+    """The JSON claims summary an experiment job's ``done`` record keeps."""
+    return {
+        "experiment": result.experiment_id,
+        "title": result.title,
+        "claims": len(result.claims),
+        "claims_held": result.claims_held,
+        "failed_claims": [
+            claim.description for claim in result.claims if not claim.holds
+        ],
+    }
 
 
 def _served_from_cache(

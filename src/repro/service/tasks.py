@@ -1,20 +1,12 @@
 """Picklable task functions executed inside worker processes.
 
 Every function here is module-level (so :mod:`multiprocessing` can pickle
-it by reference), takes a single payload dict, and imports the heavier
-layers lazily inside the call — partly to keep worker start cheap, partly
-to avoid import cycles (``repro.obs.campaign`` calls into this package for
-its parallel path, and these tasks call back into it).
-
-Two payload conventions coexist:
-
-* **object payloads** (:func:`execute_cell`, :func:`execute_config`) carry
-  real ``WorkflowSpec``/``SchedulerConfig``/``OptaneCalibration`` objects —
-  used when the parent process built them itself (campaign/tuner pools);
-* **JSON payloads** (:func:`execute_cell_record`,
-  :func:`execute_experiment`) carry only JSON types — used for jobs that
-  round-trip through the persistent queue, where the payload must also be
-  a readable, hashable record.
+it by reference), takes a single JSON payload dict — the shape the
+persistent queue stores, so the payload is also a readable, hashable
+record — and imports the heavier layers lazily inside the call, partly to
+keep worker start cheap, partly to avoid import cycles
+(``repro.obs.campaign`` calls into this package for its parallel path,
+and these tasks call back into it).
 
 Each worker meters its own host cost: the records it returns carry
 per-worker :mod:`repro.obs.hostmetrics` wall/memory readings, which is how
@@ -24,41 +16,6 @@ a parallel campaign's dashboard shows the speedup.
 from __future__ import annotations
 
 from typing import Any, Dict
-
-
-def execute_cell(payload: Dict[str, Any]) -> Any:
-    """Run one campaign cell (object payload) -> ``CellResult``.
-
-    Payload: the keyword arguments of :func:`repro.obs.campaign.run_cell`.
-    """
-    from repro.obs.campaign import run_cell
-
-    return run_cell(**payload)
-
-
-def execute_config(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Observe one (spec, config) run -> its per-config cell slice.
-
-    Payload: ``{"spec": WorkflowSpec, "config": SchedulerConfig,
-    "cal": OptaneCalibration}``.  Returns the pieces
-    :func:`repro.obs.campaign._assemble_cell` reassembles in the parent:
-    the deterministic config payload, the run manifest, and this worker's
-    host metrics.
-    """
-    from repro.obs.campaign import _config_payload
-    from repro.obs.capture import observe_workflow
-    from repro.obs.hostmetrics import HostMeter, simulated_host_metrics
-
-    with HostMeter() as meter:
-        observation = observe_workflow(
-            payload["spec"], payload["config"], cal=payload["cal"]
-        )
-    return {
-        "config": observation.manifest.config,
-        "payload": _config_payload(observation),
-        "manifest": observation.manifest.as_dict(),
-        "host": simulated_host_metrics(meter, [observation]).as_record(),
-    }
 
 
 def cell_kwargs_from_json(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -88,6 +45,7 @@ def cell_kwargs_from_json(payload: Dict[str, Any]) -> Dict[str, Any]:
         stack_name=payload.get("stack_name", "nvstream"),
         matmul_dim=payload.get("matmul_dim"),
         profile=bool(payload.get("profile", False)),
+        profile_top=payload.get("profile_top"),
     )
 
 
@@ -165,20 +123,8 @@ def execute_cell_record(payload: Dict[str, Any]) -> Dict[str, Any]:
     return record
 
 
-def execute_experiment_object(payload: Dict[str, Any]) -> Any:
+def execute_experiment(payload: Dict[str, Any]) -> Any:
     """Run one registered experiment -> its full ``ExperimentResult``.
-
-    The object-payload twin of :func:`execute_experiment`, for callers that
-    render the complete report (``repro-experiments --jobs N``) rather than
-    persisting a queue record.
-    """
-    from repro.experiments.registry import get_experiment
-
-    return get_experiment(payload["experiment"])(None)
-
-
-def execute_experiment(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one registered experiment -> a JSON claims summary.
 
     Payload: ``{"experiment": "<id>"}``.  Experiments are not
     content-addressed (their outputs are reports, not cells), so they ride
@@ -186,13 +132,4 @@ def execute_experiment(payload: Dict[str, Any]) -> Dict[str, Any]:
     """
     from repro.experiments.registry import get_experiment
 
-    result = get_experiment(payload["experiment"])(None)
-    return {
-        "experiment": result.experiment_id,
-        "title": result.title,
-        "claims": len(result.claims),
-        "claims_held": result.claims_held,
-        "failed_claims": [
-            claim.description for claim in result.claims if not claim.holds
-        ],
-    }
+    return get_experiment(payload["experiment"])(None)

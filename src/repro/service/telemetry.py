@@ -34,6 +34,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.obs.store import append_jsonl
 from repro.obs.telemetry import (
     SpanRecorder,
     TelemetryRegistry,
@@ -423,8 +424,7 @@ class ServiceTelemetry:
             return None
         record = self.snapshot(extra=extra, final=final)
         os.makedirs(self.root, exist_ok=True)
-        with open(self.snapshot_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        append_jsonl(self.snapshot_path, json.dumps(record, sort_keys=True) + "\n")
         return record
 
     def exposition(self) -> str:

@@ -85,9 +85,6 @@ MEMO_CAPACITY = 256
 #: Environment variable selecting the solver implementation per network.
 SOLVER_ENV = "REPRO_SOLVER"
 
-#: Environment variable disabling recompute coalescing ("0"/"off"/"false").
-COALESCE_ENV = "REPRO_COALESCE"
-
 #: Equivalence-class solver with converged-state memoization (the default).
 SOLVER_FAST = "fast"
 
@@ -729,7 +726,6 @@ def _solve_classes(
                 load.raw_write_local += 1
     exp = math.exp
     inf = math.inf
-    isinf = math.isinf
     iterations = 0
     for _ in range(DUTY_ITERATIONS):
         iterations += 1
@@ -976,7 +972,9 @@ class FlowNetwork:
     dirty, and one solve runs via the engine's flush hook just before the
     clock advances — 24 ranks finishing identical writes in one instant
     cost one solve, not 24.  Flow bookkeeping (``active_flows``, progress
-    advancement) stays synchronous; only the fixed-point solve is deferred.
+    advancement) stays synchronous; only the fixed-point solve is deferred,
+    under both solvers, so the fast-vs-reference oracle compares like with
+    like.
 
     Flow *starts* deliberately keep solving synchronously, coalescing only
     an already-pending completion flush.  The congestion model's damped
@@ -986,8 +984,7 @@ class FlowNetwork:
     branch — a simulated-result change of tens of percent, not rounding.
     The start cascade is therefore part of the model.  Completions are
     safe: survivors enter the flush solve with near-converged duties, so
-    both paths stay in the same basin and drift stays at solver-tolerance
-    level (~1e-5), far below the campaign diff threshold.
+    a deferred solve stays in the basin an inline one would reach.
 
     Parameters
     ----------
@@ -997,17 +994,12 @@ class FlowNetwork:
     solver:
         ``"fast"`` (equivalence classes + memo, the default) or
         ``"reference"`` (per-flow oracle).  Defaults from ``REPRO_SOLVER``.
-    coalesce:
-        Whether to defer same-timestamp recomputes.  Defaults from
-        ``REPRO_COALESCE`` (coalescing is applied identically under both
-        solvers, so the fast-vs-reference oracle compares like with like).
     """
 
     def __init__(
         self,
         engine: "Engine",
         solver: Optional[str] = None,
-        coalesce: Optional[bool] = None,
     ) -> None:
         self.engine = engine
         self._flows: List[Flow] = []
@@ -1028,17 +1020,10 @@ class FlowNetwork:
         #: ``None`` keeps the solver path free of instrumentation cost.
         self.hooks: Optional[object] = None
         self.solver = _checked_solver(solver)
-        if coalesce is None:
-            coalesce = os.environ.get(COALESCE_ENV, "1").lower() not in (
-                "0",
-                "off",
-                "false",
-            )
-        self.coalesce = bool(coalesce)
         self._memo = SolverMemo()
         self._dirty = False
-        #: Set when a deferred (coalescing) solve cancelled completion
-        #: timers; the flush re-schedules one timer per affected flow.
+        #: Set when a solve cancelled completion timers; the flush
+        #: re-schedules one timer per affected flow.
         self._timers_stale = False
         engine.add_flush_hook(self._flush_recompute)
 
@@ -1104,9 +1089,7 @@ class FlowNetwork:
     # ------------------------------------------------------------------
     def _request_recompute(self) -> None:
         """Mark dirty for the end-of-timestamp flush (completions/idle)."""
-        if not self.coalesce:
-            self._recompute()
-        elif self._dirty:
+        if self._dirty:
             self.recomputes_coalesced += 1
         else:
             self._dirty = True
@@ -1171,7 +1154,6 @@ class FlowNetwork:
         if self.hooks is not None:
             self.hooks.on_recompute(now, flows, loads)
             self.hooks.on_solve(now, result.iterations)
-        defer = self.coalesce
         for flow, new_rate in result.rates.items():
             if (
                 new_rate == flow.rate
@@ -1191,16 +1173,12 @@ class FlowNetwork:
                     f"flow {flow.label!r} stalled with zero rate and "
                     f"{flow.remaining:.0f} bytes remaining"
                 )
-            if defer:
-                # Completion timers are (re)scheduled once per instant at
-                # the flush: intermediate cascade solves at the same
-                # timestamp would otherwise push a timer per flow per
-                # solve onto the heap only to cancel it microseconds
-                # later.  No virtual time passes before the flush, so the
-                # absolute fire times are unchanged.
-                self._timers_stale = True
-            else:
-                self._schedule_completion(flow)
+            # Completion timers are (re)scheduled once per instant at the
+            # flush: intermediate cascade solves at the same timestamp
+            # would otherwise push a timer per flow per solve onto the heap
+            # only to cancel it microseconds later.  No virtual time passes
+            # before the flush, so the absolute fire times are unchanged.
+            self._timers_stale = True
 
     def _schedule_completion(self, flow: Flow) -> None:
         """Schedule *flow*'s completion timer from its current rate."""
@@ -1212,7 +1190,7 @@ class FlowNetwork:
             flow._timer = self.engine.schedule(0.0, self._make_completion(flow))
 
     def _flush_timers(self) -> bool:
-        """Schedule completion timers left stale by deferred solves.
+        """Schedule completion timers left stale by this instant's solves.
 
         Runs in ``self._flows`` order so heap tie-breaking (and therefore
         same-instant completion order) stays deterministic.

@@ -150,10 +150,12 @@ class TestBaselineFlow:
         _run_dataflow([SRC], sink)
         current = Baseline.from_diagnostics(sink.sorted())
         committed = Baseline.load(os.path.join(REPO_ROOT, "analysis-baseline.json"))
-        normalize = lambda keys: {
-            (code, path.replace(REPO_ROOT.replace(os.sep, "/") + "/", ""), msg)
-            for code, path, msg in keys
-        }
+        def normalize(keys):
+            return {
+                (code, path.replace(REPO_ROOT.replace(os.sep, "/") + "/", ""), msg)
+                for code, path, msg in keys
+            }
+
         assert normalize(current.keys) == normalize(committed.keys)
 
 

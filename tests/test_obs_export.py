@@ -10,7 +10,6 @@ These are the PR's acceptance criteria made executable:
 * two identical runs export byte-identical trace JSON.
 """
 
-import dataclasses
 import json
 
 import pytest

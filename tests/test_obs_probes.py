@@ -106,20 +106,6 @@ class TestProbeRegistry:
         with pytest.raises(SimulationError):
             ProbeRegistry().counter("bytes", socket=[0])
 
-    def test_disabled_registry_returns_shared_nulls(self):
-        probes = ProbeRegistry(enabled=False)
-        counter = probes.counter("bytes")
-        counter.add(0.0, 1e9)
-        assert counter.total == 0.0
-        assert counter.samples == []
-        assert probes.instruments() == []
-        gauge = probes.gauge("depth")
-        gauge.set(0.0, 5.0)
-        assert gauge.samples == []
-        histogram = probes.histogram("rate")
-        histogram.observe(0.0, 1.0)
-        assert histogram.count == 0
-
     def test_instruments_sorted(self):
         probes = ProbeRegistry()
         probes.gauge("zeta")

@@ -1,8 +1,12 @@
 """Campaign store semantics: cell ids, append-only, schema validation."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.obs.store import (
@@ -14,6 +18,7 @@ from repro.obs.store import (
     canonical_json,
     cell_id_from_manifests,
     manifest_determinism_payload,
+    read_jsonl,
     validate_campaign_lines,
     validate_record,
 )
@@ -220,3 +225,68 @@ class TestSchemaValidation:
             for line in handle:
                 record = json.loads(line)
                 assert canonical_json(record) == line.rstrip("\n")
+
+
+def split_last_record(path):
+    """(bytes before the last record, the last record with its newline)."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = data.rfind(b"\n", 0, len(data) - 1) + 1
+    return data[:start], data[start:]
+
+
+class TestTornFinalLine:
+    """A crash mid-append leaves an unterminated last line; it must read as
+    the intact prefix, and the next append must start a fresh line."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        makespans=st.lists(
+            st.floats(min_value=0.001, max_value=1e4), min_size=1, max_size=3
+        )
+    )
+    def test_campaign_truncated_at_every_offset(self, makespans):
+        with tempfile.TemporaryDirectory() as root:
+            store = CampaignStore(root)
+            store.create("c")
+            for index, makespan in enumerate(makespans):
+                stored = cell(cell_id=f"{index:016x}")
+                stored.deterministic["configs"]["S-LocW"]["makespan"] = makespan
+                store.append_cell("c", stored)
+            prefix, last = split_last_record(store.path("c"))
+            with open(store.path("c"), "wb") as handle:
+                handle.write(prefix)
+            intact = store.read("c")
+            extra = cell(cell_id="f" * CELL_ID_LENGTH, key="extra@1")
+            for offset in range(len(last)):
+                with open(store.path("c"), "wb") as handle:
+                    handle.write(prefix + last[:offset])
+                assert store.read("c") == intact
+                store.append_cell("c", extra)
+                assert store.read("c").cells == intact.cells + [extra]
+                with open(store.path("c"), "rb") as handle:
+                    data = handle.read()
+                assert data == prefix + canonical_json(
+                    extra.as_record("c")
+                ).encode("utf-8") + b"\n"
+
+    def test_interior_corruption_names_path_and_line(self, tmp_path):
+        store = CampaignStore(str(tmp_path))
+        store.create("c")
+        store.append_cell("c", cell(cell_id="1" * CELL_ID_LENGTH))
+        store.append_cell("c", cell(cell_id="2" * CELL_ID_LENGTH))
+        path = store.path("c")
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")
+        lines[1] = lines[1][:-7]
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines))
+        with pytest.raises(StorageError, match=f"{path}:2: corrupt record"):
+            store.read("c")
+
+    def test_non_object_record_rejected(self, tmp_path):
+        path = os.path.join(str(tmp_path), "log.jsonl")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"a": 1}\n\n[1, 2]\n')
+        with pytest.raises(StorageError, match=f"{path}:3: record is not"):
+            read_jsonl(path)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import CalibrationError
-from repro.pmem.calibration import DEFAULT_CALIBRATION, OptaneCalibration
+from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.units import GB, KiB, NANOSECOND
 
 

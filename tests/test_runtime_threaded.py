@@ -107,8 +107,6 @@ def small_spec(ranks=2, iterations=3):
 
 class TestThreadedWorkflow:
     def make(self, **kw):
-        sums = {}
-
         def writer_fn(rank, iteration):
             return np.full(256, rank * 100 + iteration, dtype=np.float64)
 

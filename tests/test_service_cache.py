@@ -94,7 +94,7 @@ def test_tuner_served_from_cache_matches_direct_tuning(tmp_path):
     spec = build_workflow("micro-64mb", 8, iterations=2)
     cache = ResultCache(str(tmp_path))
     tuner = ExhaustiveTuner(cache=cache)
-    fresh = tuner.tune(spec)
+    tuner.tune(spec)
     assert cache.stats.misses == 1 and cache.stats.stores == 1
     cached = tuner.tune(spec)
     assert cache.stats.hits == 1

@@ -1,6 +1,7 @@
 """End-to-end ``python -m repro.service`` CLI over the micro suite."""
 
 import json
+import os
 
 import pytest
 
@@ -86,3 +87,17 @@ def test_cli_submit_experiment_jobs(root, capsys):
     out = capsys.readouterr().out
     assert "(experiment)" in out
     assert "1 job(s) queued" in out
+
+
+def test_status_survives_a_torn_queue_tail(root, capsys):
+    """A crash mid-append must not brick every later command."""
+    assert main(["submit", "--dir", root, "--suite", "micro"]) == 0
+    queue_path = os.path.join(root, "queue.jsonl")
+    with open(queue_path, "rb") as handle:
+        data = handle.read()
+    with open(queue_path, "wb") as handle:
+        handle.write(data[:-7])
+    capsys.readouterr()
+    assert main(["status", "--dir", root, "--json"]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["counts"]["queued"] == 1

@@ -1,6 +1,10 @@
 """Job queue lifecycle: submit/claim/retry/release/drain + schema checks."""
 
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.service.queue import (
@@ -155,3 +159,49 @@ def test_validate_flags_transition_after_terminal(queue):
     ]
     problems = validate_queue_lines(lines)
     assert any("terminal state" in p for p in problems)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    steps=st.lists(
+        st.sampled_from(["submit", "claim", "done", "retry"]), min_size=1, max_size=6
+    )
+)
+def test_torn_final_line_reads_as_intact_prefix_at_every_offset(steps):
+    """A crash mid-append tears the last record; replay skips it, and the
+    next append truncates it before writing."""
+    with tempfile.TemporaryDirectory() as root:
+        queue = JobQueue(root)
+        job = queue.submit(KIND_CELL, {"family": "micro-2k", "ranks": 8})
+        for step in steps:
+            if step == "submit":
+                job = queue.submit(KIND_EXPERIMENT, {"experiment": "fig01"})
+            elif job.state == STATE_QUEUED:
+                queue.claim(job, {"round": 0})
+            elif job.state == STATE_RUNNING:
+                (queue.mark_done if step == "done" else queue.retry)(job, step)
+        with open(queue.path, "rb") as handle:
+            data = handle.read()
+        start = data.rfind(b"\n", 0, len(data) - 1) + 1
+        prefix, last = data[:start], data[start:]
+        with open(queue.path, "wb") as handle:
+            handle.write(prefix)
+        intact = queue.load()
+        for offset in range(len(last)):
+            with open(queue.path, "wb") as handle:
+                handle.write(prefix + last[:offset])
+            assert queue.load() == intact
+            added = queue.submit(KIND_EXPERIMENT, {"experiment": "table01"})
+            assert queue.load() == intact + [added]
+            assert queue.validate() == []
+
+
+def test_interior_corruption_names_path_and_line(queue):
+    queue.submit(KIND_CELL, {"family": "micro-2k", "ranks": 8})
+    queue.submit(KIND_CELL, {"family": "micro-2k", "ranks": 8})
+    with open(queue.path, "rb") as handle:
+        first, second = handle.read().splitlines(keepends=True)
+    with open(queue.path, "wb") as handle:
+        handle.write(first[:-9] + b"\n" + second)
+    with pytest.raises(StorageError, match=f"{queue.path}:1: corrupt record"):
+        queue.load()

@@ -222,7 +222,8 @@ def test_persisted_cells_independent_of_completion_order(tmp_path):
 
 
 def test_campaign_jobs_parallel_matches_serial_bytes(tmp_path):
-    """run_campaign --jobs 2 stores the same deterministic payload as serial."""
+    """run_campaign --jobs 2 stores the same deterministic payload as
+    serial, and its JSON worker payload keeps every cell option."""
     import json
 
     from repro.obs.campaign import run_campaign
@@ -230,11 +231,20 @@ def test_campaign_jobs_parallel_matches_serial_bytes(tmp_path):
     digests = []
     for jobs in (1, 2):
         store = CampaignStore(str(tmp_path / f"jobs{jobs}"))
-        run_campaign(suite="micro", name="micro-001", store=store, jobs=jobs)
+        run = run_campaign(
+            suite="micro",
+            name="micro-001",
+            store=store,
+            jobs=jobs,
+            profile=True,
+            profile_top=3,
+        )
+        assert all(0 < len(cell.host.hotspots) <= 3 for cell in run.cells)
         stripped = []
         with open(store.path("micro-001"), "r", encoding="utf-8") as handle:
             for line in handle:
                 record = json.loads(line)
+                assert len(record.get("host", {}).get("hotspots", [])) <= 3
                 record.pop("host", None)
                 stripped.append(
                     json.dumps(record, sort_keys=True, separators=(",", ":"))

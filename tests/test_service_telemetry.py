@@ -289,3 +289,42 @@ def test_worker_utilization_and_rate_gauges(tmp_path):
                 "repro_service_worker_utilization",
             )
         )
+
+
+def test_experiment_retry_round_records_backoff_and_snapshot(tmp_path, monkeypatch):
+    """Experiment jobs run through the same retry rounds as cells."""
+    import repro.experiments.registry as registry
+    from repro.experiments.common import ExperimentResult
+
+    calls = []
+
+    def flaky_lookup(experiment_id):
+        calls.append(experiment_id)
+        if len(calls) == 1:
+            raise RuntimeError("transient worker failure")
+        return lambda _out: ExperimentResult(experiment_id, "stub", "stub run")
+
+    # jobs=1 runs the task inline, so the worker sees the patched registry.
+    monkeypatch.setattr(registry, "get_experiment", flaky_lookup)
+    root = str(tmp_path / "service")
+    telemetry = ServiceTelemetry(root, enabled=True)
+    scheduler = ServiceScheduler(
+        root=root, telemetry=telemetry, backoff_seconds=0.01
+    )
+    (job,) = scheduler.submit_experiments(["table01"])
+    report = scheduler.run()
+    assert (report.experiments, report.retried, report.failed) == (1, 1, 0)
+    assert calls == ["table01", "table01"]
+    backoff = telemetry.registry.counter("repro_service_backoff_seconds_total")
+    assert backoff.value == pytest.approx(0.01)
+    with open(telemetry.snapshot_path, "r", encoding="utf-8") as handle:
+        snapshots = [json.loads(line) for line in handle]
+    assert [s.get("round") for s in snapshots if not s["final"]] == [1, 2]
+    (done,) = JobQueue(root).load()
+    assert done.detail == {
+        "experiment": "table01",
+        "title": "stub",
+        "claims": 0,
+        "claims_held": 0,
+        "failed_claims": [],
+    }

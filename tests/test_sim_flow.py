@@ -351,30 +351,6 @@ class TestPokeDeferral:
         assert recorded["absorbed"] == 2  # pokes 2 and 3 fold into 1
         assert engine.now == pytest.approx(18.0)
 
-    def test_uncoalesced_poke_solves_inline(self):
-        """With coalescing off, poke() keeps the synchronous semantics."""
-        engine = Engine()
-        net = FlowNetwork(engine, coalesce=False)
-        state = {"capacity": 10.0}
-        r = CapacityResource("mutable", lambda load: state["capacity"])
-
-        def body():
-            yield net.transfer(make_flow(nbytes=100.0, resources=[r]))
-
-        recorded = {}
-
-        def throttle():
-            state["capacity"] = 5.0
-            before = net.recompute_count
-            net.poke()
-            recorded["solved_inline"] = net.recompute_count - before
-
-        engine.spawn(body(), name="p")
-        engine.schedule(2.0, throttle)
-        engine.run()
-        assert recorded["solved_inline"] == 1
-        assert engine.now == pytest.approx(18.0)
-
 
 class TestGtcReuse:
     def test_gtc_workflow_reuses_solver_work(self):

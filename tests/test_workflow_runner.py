@@ -6,7 +6,7 @@ from repro.core.configs import ALL_CONFIGS, P_LOCR, P_LOCW, S_LOCR, S_LOCW
 from repro.errors import PlacementError, ValidationError
 from repro.pmem.calibration import DEFAULT_CALIBRATION
 from repro.storage.objects import SnapshotSpec
-from repro.units import GiB, KiB, MiB
+from repro.units import KiB, MiB
 from repro.workflow.iteration import component_iteration_profile
 from repro.workflow.kernels import FixedWorkKernel
 from repro.workflow.runner import probe_component, run_workflow
